@@ -26,7 +26,7 @@ from .errors import (
     UnreachableCaseError,
     ZeroParameterError,
 )
-from .lucasrank import default_threads, empirical_density, spf_sieve
+from .lucasrank import empirical_density, spf_sieve
 from .quadfield import (
     QuadElem,
     SequenceContext,
@@ -143,6 +143,9 @@ def _add_input_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
+_THREADS_HELP = "deprecated and ignored: the empirical count is one vectorised pass"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lucasdensity",
@@ -164,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_input_flags(p_verify)
     p_verify.add_argument("--d", type=int, required=True)
     p_verify.add_argument("--limit", type=int, default=1_000_000)
-    p_verify.add_argument("--threads", type=int, default=None)
+    p_verify.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     p_verify.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_verify.add_argument("--strict", action="store_true")
     p_verify.add_argument("--dump-ranks", metavar="PATH", default=None)
@@ -174,7 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tables.add_argument(
         "--limit", type=int, default=None, help="also run the empirical column up to this bound"
     )
-    p_tables.add_argument("--threads", type=int, default=None)
+    p_tables.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
 
     p_explain = subs.add_parser("explain", help="show the routing and every term")
     _add_input_flags(p_explain)
@@ -258,8 +261,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.limit < 100:
         raise LucasDensityError(f"verification limit must be >= 100, got {args.limit}")
     result = dispatch(target, args.d)
-    threads = args.threads if args.threads is not None else default_threads()
-    t0 = time.time()
+    t0 = time.perf_counter()
     spf = spf_sieve(args.limit + 1)
     report = empirical_density(
         target,
@@ -267,10 +269,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         args.limit,
         spf=spf,
         reference=result.delta,
-        threads=threads,
         dump_path=args.dump_ranks,
     )
-    runtime = time.time() - t0
+    runtime = time.perf_counter() - t0
     delta = result.delta
     tolerance = (
         Fraction(3)
@@ -322,7 +323,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
-    threads = args.threads if args.threads is not None else default_threads()
     spf = spf_sieve(args.limit + 1) if args.limit else None
     entries = []
     mismatches = 0
@@ -343,7 +343,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
         if spf is not None:
             report = empirical_density(
                 row.gamma, row.d, args.limit, spf=spf,
-                reference=row.delta, threads=threads,
+                reference=row.delta,
             )
             entry["empirical"] = float(report.ratio)
             entry["deviation"] = float(report.deviation)

@@ -2,34 +2,43 @@
 
 The rank of appearance of a prime p in the recurrence U(a1, a2) is the least
 n >= 1 with p | U_n.  For p not dividing 2*a2*Delta it equals the
-multiplicative order of the root quotient modulo a prime above p, which is the
-form used for elements given directly as u + v*sqrt(disc): split primes reduce
-into the prime field through a square root of the discriminant, inert primes
-work in the quadratic extension, and either way the order is found by descent
-from p - (Delta/p) through its prime factorisation.
+multiplicative order of the norm-1 root quotient gamma modulo a prime above p,
+which is also the form used for elements given directly as u + v*sqrt(disc).
+Both inputs therefore reduce to one Lucas-V chain in t = tr(gamma) mod p:
+V_n(t) = gamma^n + gamma^-n, and gamma^n = 1 exactly when V_n(t) = 2.  The
+order divides m = p - chi(p), with chi(p) the Legendre symbol of the
+discriminant, so d | rank(p) is decided without factoring m: for each
+q^k || d, q^k must divide m and gamma^m' must differ from 1, where m' is m with
+its q-part cut down to q^(k-1).  The counter runs those ladders across all
+primes at once in numpy int64; rank() runs the full order descent on the
+scalar chain.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
-import multiprocessing
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
 import numpy as np
 
-from .arith import jacobi
+from .arith import factorize, jacobi
 from .errors import LimitError, LucasDensityError
-from .quadfield import QuadElem, SequenceContext, _sqrt_mod_prime, qf_norm
+from .quadfield import QuadElem, SequenceContext, qf_norm, qf_trace
 
 Target = Union[SequenceContext, QuadElem]
 
 # A full table for the deep 10^7 sweep is 40 MB of int32; anything past this
 # ceiling is almost certainly a mistyped limit rather than a real request.
+# It also keeps every prime below 2^28, so int64 never overflows in the
+# vectorised residues (r * 2^24 + limb) and ladders (a product of two residues).
 SIEVE_CEILING = 200_000_000
+
+# Primes per vectorised pass: the temporaries stay a few MB whatever x is.
+CHUNK = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -87,28 +96,60 @@ def spf_sieve(limit: int) -> SpfTable:
 
 
 # ---------------------------------------------------------------------------
-# Lucas pairs mod p
+# the Lucas-V chain
 # ---------------------------------------------------------------------------
 
 
-def lucas_pair_mod(n: int, p: int, a1: int, a2: int) -> tuple[int, int]:
-    """(U_n mod p, V_n mod p) by binary doubling, O(log n) steps."""
+def lucas_v_mod(n: int, p: int, trace: Union[Fraction, int]) -> int:
+    """V_n(t) mod p for V_0 = 2, V_1 = t, V_{k+1} = t*V_k - V_{k-1}, t = trace mod p.
+
+    A ladder over the bits of n, O(log n) steps.  For t = tr(gamma) with
+    N(gamma) = 1, V_n(t) = gamma^n + gamma^-n.
+    """
     if n < 0:
         raise LucasDensityError(f"index must be nonnegative, got {n}")
-    if p < 3 or (2 * a2) % p == 0:
-        raise LucasDensityError(f"p = {p} divides 2*a2: pair undefined")
-    delta = (a1 * a1 - 4 * a2) % p
-    inv2 = (p + 1) // 2
-    u, v, qn = 0, 2, 1  # (U_0, V_0, a2^0)
-    for bit in bin(n)[2:] if n else "":
-        u, v, qn = u * v % p, (v * v - 2 * qn) % p, qn * qn % p
+    if p < 3 or trace.denominator % p == 0:
+        raise LucasDensityError(
+            f"p = {p} must be odd and prime to the denominator of the trace {trace}"
+        )
+    t = trace.numerator * pow(trace.denominator, -1, p) % p
+    v0, v1 = 2, t  # (V_k, V_{k+1}), k = the bits of n read so far
+    for bit in bin(n)[2:]:
         if bit == "1":
-            u, v, qn = (
-                (a1 * u + v) * inv2 % p,
-                (delta * u + a1 * v) * inv2 % p,
-                qn * a2 % p,
-            )
-    return u, v
+            v0, v1 = (v0 * v1 - t) % p, (v1 * v1 - 2) % p
+        else:
+            v0, v1 = (v0 * v0 - 2) % p, (v0 * v1 - t) % p
+    return v0
+
+
+def _residues(n: int, p: np.ndarray) -> np.ndarray:
+    """n mod p for every entry of p, exact for integers of any size."""
+    mag = abs(n)
+    r = np.zeros_like(p)
+    for shift in range(24 * ((mag.bit_length() - 1) // 24), -1, -24):
+        r = (r * (1 << 24) + ((mag >> shift) & 0xFFFFFF)) % p
+    return r if n >= 0 else (p - r) % p
+
+
+def _pow_many(base: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """base^e mod p elementwise, with a separate exponent for every entry."""
+    out = np.ones_like(p)
+    for j in range(int(e.max()).bit_length()):
+        out = np.where(((e >> j) & 1).astype(bool), out * base % p, out)
+        base = base * base % p
+    return out
+
+
+def _lucas_v_many(n: np.ndarray, t: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """lucas_v_mod elementwise over residues t, with a separate n for every entry."""
+    v0, v1 = np.full_like(t, 2), t
+    for j in range(int(n.max()).bit_length() - 1, -1, -1):
+        bit = ((n >> j) & 1).astype(bool)
+        cross = (v0 * v1 - t) % p
+        a = np.where(bit, v1, v0)
+        square = (a * a - 2) % p
+        v0, v1 = np.where(bit, cross, square), np.where(bit, square, cross)
+    return v0
 
 
 # ---------------------------------------------------------------------------
@@ -116,93 +157,49 @@ def lucas_pair_mod(n: int, p: int, a1: int, a2: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _order_descent(start: int, primes: list[int], is_identity_at) -> int:
-    order = start
-    for q in primes:
-        while order % q == 0:
-            reduced = order // q
-            if is_identity_at(reduced):
-                order = reduced
-            else:
-                break
-    return order
+@dataclass(frozen=True)
+class _Chain:
+    """What the counter and rank() need of a target, computed once per target."""
+
+    trace: Fraction  # t = tr(gamma), the V-chain parameter
+    char_disc: int  # chi(p) is its Legendre symbol mod p
+    excluded: frozenset  # the primes dividing the excluded locus
 
 
-def _rank_pair(p: int, a1: int, a2: int, delta: int, spf: SpfTable) -> int:
-    m = p - jacobi(delta % p, p)
-    half = m // 2  # m is even for odd p; keep spf usable when m = limit + 1
-    factors = {2} | set(spf.factor_distinct(half)) if half > 1 else {2}
-    return _order_descent(
-        m,
-        sorted(factors),
-        lambda t: lucas_pair_mod(t, p, a1, a2)[0] == 0,
-    )
-
-
-def _pair_pow(x: int, y: int, n: int, p: int, disc: int) -> tuple[int, int]:
-    # (x + y*w)^n in F_p[w]/(w^2 - disc)
-    ru, rv = 1, 0
-    while n:
-        if n & 1:
-            ru, rv = (ru * x + rv * y * disc) % p, (ru * y + rv * x) % p
-        x, y = (x * x + y * y * disc) % p, 2 * x * y % p
-        n >>= 1
-    return ru, rv
-
-
-def _rank_element(p: int, gamma: QuadElem, spf: SpfTable) -> int:
-    disc = gamma.disc_k
-    u = gamma.u.numerator * pow(gamma.u.denominator, -1, p) % p
-    v = gamma.v.numerator * pow(gamma.v.denominator, -1, p) % p
-    split = jacobi(disc % p, p) == 1
-    m = p - 1 if split else p + 1
-    half = m // 2
-    factors = sorted({2} | set(spf.factor_distinct(half))) if half > 1 else [2]
-    if split:
-        g = (u + v * _sqrt_mod_prime(disc % p, p)) % p
-        return _order_descent(m, factors, lambda t: pow(g, t, p) == 1)
-    return _order_descent(m, factors, lambda t: _pair_pow(u, v, t, p, disc) == (1, 0))
-
-
-def _excluded_primes(target: Target) -> set[int]:
+@functools.lru_cache(maxsize=64)
+def _chain(target: Target) -> _Chain:
     if isinstance(target, SequenceContext):
-        bad = 2 * abs(target.a2) * abs(target.delta)
+        gamma, char_disc = target.gamma, target.delta
+        locus = (2, target.a2, target.delta)
     else:
-        bad = (
-            2
-            * abs(target.disc_k)
-            * target.u.denominator
-            * target.v.denominator
-            * abs(target.v.numerator)
-        )
-    out = set()
-    n, q = bad, 2
-    while q * q <= n:
-        if n % q == 0:
-            out.add(q)
-            while n % q == 0:
-                n //= q
-        q += 1
-    if n > 1:
-        out.add(n)
-    return out
+        gamma, char_disc = target, target.disc_k
+        if qf_norm(gamma) != 1:
+            raise LucasDensityError("rank is defined for norm-1 elements only")
+        locus = (2, gamma.disc_k, gamma.u.denominator, gamma.v.denominator, gamma.v.numerator)
+    excluded = frozenset(q for n in locus for q, _ in factorize(n).pairs)
+    return _Chain(trace=qf_trace(gamma), char_disc=char_disc, excluded=excluded)
+
+
+def _order(p: int, m: int, trace: Fraction, spf: SpfTable) -> int:
+    """Order of gamma above p, by descent from its multiple m = p - chi(p)."""
+    order = m
+    for q in sorted({2, *spf.factor_distinct(m // 2)}):  # m is even; m // 2 <= limit
+        while order % q == 0 and lucas_v_mod(order // q, p, trace) == 2:
+            order //= q
+    return order
 
 
 def rank(p: int, target: Target, spf: SpfTable) -> int:
     """Least n >= 1 with p | U_n, equivalently the order of gamma above p."""
     if p < 3:
         raise LucasDensityError(f"rank needs an odd prime, got {p}")
-    if p in _excluded_primes(target):
+    chain = _chain(target)
+    if p in chain.excluded:
         raise LucasDensityError(f"p = {p} divides the excluded locus of the input")
-    if isinstance(target, SequenceContext):
-        if p - jacobi(target.delta % p, p) > spf.limit + 1:
-            raise LimitError(f"p = {p} outside the sieve's factoring reach")
-        return _rank_pair(p, target.a1, target.a2, target.delta, spf)
-    if qf_norm(target) != 1:
-        raise LucasDensityError("rank is defined for norm-1 elements only")
-    if p + 1 > spf.limit + 1:
+    m = p - jacobi(chain.char_disc % p, p)
+    if m > spf.limit + 1:
         raise LimitError(f"p = {p} outside the sieve's factoring reach")
-    return _rank_element(p, target, spf)
+    return _order(p, m, chain.trace, spf)
 
 
 # ---------------------------------------------------------------------------
@@ -238,42 +235,22 @@ class EmpiricalReport:
         return abs(self.ratio - self.reference_delta)
 
 
-_BLOCK_STATE: dict = {}
-
-
-def _count_block(bounds: tuple[int, int]):
-    lo, hi = bounds
-    primes = _BLOCK_STATE["primes"][lo:hi]
-    target = _BLOCK_STATE["target"]
-    spf = _BLOCK_STATE["spf"]
-    d = _BLOCK_STATE["d"]
-    excluded = _BLOCK_STATE["excluded"]
-    keep_rows = _BLOCK_STATE["keep_rows"]
-    if isinstance(target, SequenceContext):
-        char_disc = target.delta
-        compute = lambda p: _rank_pair(p, target.a1, target.a2, target.delta, spf)
-    else:
-        char_disc = target.disc_k
-        compute = lambda p: _rank_element(p, target, spf)
-    counted = plus = minus = eligible = 0
-    rows = [] if keep_rows else None
-    for p in primes:
-        p = int(p)
-        if p in excluded:
-            continue
-        eligible += 1
-        r = compute(p)
-        side = jacobi(char_disc % p, p)
-        hit = r % d == 0
-        if hit:
-            counted += 1
-            if side == 1:
-                plus += 1
-            else:
-                minus += 1
-        if rows is not None:
-            rows.append((p, r, side, int(hit)))
-    return counted, plus, minus, eligible, rows
+def _divisible(
+    t: np.ndarray, m: np.ndarray, p: np.ndarray, powers: list[tuple[int, int]]
+) -> np.ndarray:
+    """d | order of gamma for every prime, given (q, q^k) for each q^k || d."""
+    hit = np.ones(len(p), dtype=bool)
+    for q, qk in powers:
+        if qk > int(m.max()):
+            return np.zeros(len(p), dtype=bool)
+        idx = np.flatnonzero(hit & (m % qk == 0))
+        cut = m[idx] // qk
+        while (deeper := cut % q == 0).any():
+            cut[deeper] //= q
+        hit[:] = False
+        if len(idx):
+            hit[idx] = _lucas_v_many(cut * (qk // q), t[idx], p[idx]) != 2
+    return hit
 
 
 def empirical_density(
@@ -285,48 +262,47 @@ def empirical_density(
     threads: int = 1,
     dump_path: Optional[str] = None,
 ) -> EmpiricalReport:
-    """Count primes p <= x with d | rank(p), split by the character of p."""
+    """Count primes p <= x with d | rank(p), split by the character of p.
+
+    ``threads`` is deprecated and ignored: the count is one vectorised pass.
+    ``dump_path`` also writes a ``p,rank,jacobi,divisible`` CSV, with each
+    rank found by the scalar descent that rank() uses.
+    """
     if d < 1:
         raise LucasDensityError(f"divisor must be positive, got {d}")
     if spf is None:
         spf = spf_sieve(max(x + 1, 4))
     if x + 1 > spf.limit + 2:
         raise LimitError(f"x = {x} beyond the sieve capacity {spf.limit}")
+    chain = _chain(target)
     primes = spf.primes_up_to(min(x, spf.limit))
     primes = primes[primes > 2]
-    excluded = _excluded_primes(target)
+    primes = primes[~np.isin(primes, [q for q in chain.excluded if q <= x])]
+    powers = [(q, q**k) for q, k in factorize(d).pairs]
+    trace = chain.trace
 
-    _BLOCK_STATE.update(
-        primes=primes,
-        target=target,
-        spf=spf,
-        d=d,
-        excluded=excluded,
-        keep_rows=dump_path is not None,
-    )
-    try:
-        n = len(primes)
-        if threads <= 1 or n < 4 * threads:
-            results = [_count_block((0, n))]
-        else:
-            step = -(-n // (4 * threads))
-            blocks = [(i, min(i + step, n)) for i in range(0, n, step)]
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(processes=threads) as pool:
-                results = pool.map(_count_block, blocks)
-    finally:
-        _BLOCK_STATE.clear()
-
-    counted = sum(r[0] for r in results)
-    plus = sum(r[1] for r in results)
-    minus = sum(r[2] for r in results)
-    eligible = sum(r[3] for r in results)
-    if dump_path is not None:
+    counted = plus = 0
+    rows: Optional[list] = [] if dump_path is not None else None
+    for lo in range(0, len(primes), CHUNK):
+        p = primes[lo : lo + CHUNK]
+        t = _residues(trace.numerator, p)
+        t = t * _pow_many(_residues(trace.denominator, p), p - 2, p) % p
+        euler = _pow_many(_residues(chain.char_disc, p), (p - 1) // 2, p)
+        chi = np.where(euler == 1, 1, -1)
+        hit = _divisible(t, p - chi, p, powers)
+        counted += int(hit.sum())
+        plus += int((hit & (chi == 1)).sum())
+        if rows is not None:
+            for q, side in zip(p.tolist(), chi.tolist()):
+                r = _order(q, q - side, trace, spf)
+                rows.append((q, r, side, int(r % d == 0)))
+    eligible = len(primes)
+    minus = counted - plus
+    if rows is not None:
         with open(dump_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["p", "rank", "jacobi", "divisible"])
-            for r in results:
-                writer.writerows(r[4])
+            writer.writerows(rows)
 
     zero = Fraction(0)
     return EmpiricalReport(
@@ -343,8 +319,3 @@ def empirical_density(
         ratio_minus=Fraction(minus, eligible) if eligible else zero,
         reference_delta=reference,
     )
-
-
-def default_threads() -> int:
-    """Worker count for verification runs: the machine's visible parallelism."""
-    return max(1, os.cpu_count() or 1)

@@ -167,16 +167,44 @@ def test_criterion_5_inner_sum_oracle_equivalence():
     )
 
 
+# (counted, counted_plus, counted_minus, eligible) at x = 10^6 in REFERENCE_ROWS
+# order, as recorded from the per-prime order-descent counter
+PINNED_COUNTS_AT_ONE_MILLION = (
+    (20842, 6141, 14701, 78497),
+    (6854, 2741, 4113, 78497),
+    (13101, 3239, 9862, 78495),
+    (10868, 6775, 4093, 78495),
+    (1366, 676, 690, 78494),
+    (1040, 524, 516, 78494),
+    (26187, 13057, 13130, 78496),
+    (5463, 2731, 2732, 78496),
+    (15962, 7961, 8001, 78495),
+    (4950, 2486, 2464, 78495),
+    (5933, 2945, 2988, 78494),
+    (9567, 4762, 4805, 78494),
+    (58886, 29428, 29458, 78495),
+    (9562, 4785, 4777, 78495),
+    (6589, 3268, 3321, 78494),
+    (9315, 4662, 4653, 78494),
+    (49100, 24552, 24548, 78493),
+    (1953, 982, 971, 78493),
+)
+
+
 def test_criterion_6_empirical_gate_at_one_million(spf_million):
     t0 = time.monotonic()
     bad = []
     worst_margin = 0.0
-    for row in REFERENCE_ROWS:
+    for row, pinned in zip(REFERENCE_ROWS, PINNED_COUNTS_AT_ONE_MILLION):
         delta = row.delta
         report = empirical_density(
             row.gamma, row.d, 1_000_000, spf=spf_million,
             reference=delta, threads=4,
         )
+        counts = (report.counted, report.counted_plus, report.counted_minus,
+                  report.eligible)
+        if counts != pinned:
+            bad.append((str(row.gamma), row.d, "counts", counts, pinned))
         tol = 3.0 * (float(delta * (1 - delta)) / report.eligible) ** 0.5 + 0.002
         dev = float(report.deviation)
         worst_margin = max(worst_margin, dev / tol)
@@ -187,7 +215,8 @@ def test_criterion_6_empirical_gate_at_one_million(spf_million):
     _report(
         6,
         ok,
-        f"all 18 rows within 3 sigma + 0.002 at x = 10^6 "
+        f"all 18 rows match their pinned counts and lie within 3 sigma + 0.002 "
+        f"at x = 10^6 "
         f"(worst deviation/tolerance {worst_margin:.2f}), {elapsed:.1f}s"
         + (f"; failures: {bad}" if bad else ""),
     )

@@ -2,20 +2,23 @@
 
 import csv
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from lucasdensity.arith import jacobi
+from lucasdensity.density import REFERENCE_PROFILES
 from lucasdensity.errors import LimitError, LucasDensityError
 from lucasdensity.lucasrank import (
     EmpiricalReport,
     SpfTable,
     empirical_density,
-    lucas_pair_mod,
+    lucas_v_mod,
     rank,
     spf_sieve,
 )
-from lucasdensity.quadfield import QuadElem, make_context
+from lucasdensity.quadfield import QuadElem, SequenceContext, make_context, qf_norm
 
 from oracles import naive_rank
 
@@ -75,24 +78,25 @@ def test_primes_up_to(spf_small):
 
 
 # ---------------------------------------------------------------------------
-# Lucas pairs
+# the Lucas-V chain
 # ---------------------------------------------------------------------------
 
 
-def test_lucas_pair_base_cases():
-    assert lucas_pair_mod(0, 11, 1, -1) == (0, 2)
-    assert lucas_pair_mod(1, 11, 1, -1) == (1, 1)
-    assert lucas_pair_mod(10, 11, 1, -1)[0] == 0  # F_10 = 55 = 5 * 11
+def test_lucas_v_base_cases():
+    fib_trace = Fraction(1 * 1 - 2 * -1, -1)  # tr(gamma) = (a1^2 - 2*a2) / a2 = -3
+    assert lucas_v_mod(0, 11, fib_trace) == 2
+    assert lucas_v_mod(1, 11, fib_trace) == 11 - 3
+    assert lucas_v_mod(10, 11, fib_trace) == 2  # F_10 = 55 = 5 * 11: gamma^10 = 1
 
 
-def test_lucas_pair_rejects_bad_prime():
+def test_lucas_v_rejects_bad_prime():
     with pytest.raises(LucasDensityError):
-        lucas_pair_mod(4, 3, 1, 3)  # p | a2
+        lucas_v_mod(4, 3, Fraction(1 * 1 - 2 * 3, 3))  # p | a2
     with pytest.raises(LucasDensityError):
-        lucas_pair_mod(4, 2, 1, 1)  # p = 2
+        lucas_v_mod(4, 2, Fraction(1 * 1 - 2 * 1, 1))  # p = 2
 
 
-def test_lucas_pair_matches_iteration():
+def test_lucas_v_matches_iteration():
     rng = random.Random(23)
     for _ in range(120):
         p = rng.choice([5, 7, 11, 13, 101, 997, 4999])
@@ -100,16 +104,20 @@ def test_lucas_pair_matches_iteration():
         a2 = rng.randint(-9, 9) or 3
         if (2 * a2) % p == 0:
             continue
-        us = [0]
-        uu, unext = 0, 1
+        trace = Fraction(a1 * a1 - 2 * a2, a2)
+        t = trace.numerator * pow(trace.denominator, -1, p) % p
+        vs = [2, t]
         for _ in range(80):
-            uu, unext = unext, (a1 * unext - a2 * uu) % p
-            us.append(uu % p)
+            vs.append((t * vs[-1] - vs[-2]) % p)
+        us = [0, 1]
+        for _ in range(2 * 80 + 1):
+            us.append((a1 * us[-1] - a2 * us[-2]) % p)
         n = rng.randint(0, 79)
-        got_u, got_v = lucas_pair_mod(n, p, a1, a2)
-        assert got_u == us[n]
-        # V_n = 2*U_{n+1} - a1*U_n
-        assert got_v == (2 * us[n + 1] - a1 * us[n]) % p
+        got = lucas_v_mod(n, p, trace)
+        assert got == vs[n]
+        # gamma^n + gamma^-n = V_2n(a1, a2) / a2^n, with V_k = 2*U_{k+1} - a1*U_k
+        pair_v = (2 * us[2 * n + 1] - a1 * us[2 * n]) % p
+        assert got == pair_v * pow(a2, -n, p) % p
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +209,23 @@ def test_empirical_fibonacci_two_thirds(spf_small):
     assert rep.deviation < Fraction(1, 100)
 
 
+def test_empirical_fibonacci_counts_pinned():
+    # (counted, counted_plus, counted_minus) at x = 10^6 over 78496 eligible
+    # primes, as recorded from the per-prime order-descent counter
+    pinned = {
+        2: (52340, 32714, 19626), 3: (29451, 14719, 14732),
+        4: (26143, 6517, 19626), 5: (16350, 16350, 0),
+        6: (19661, 12282, 7379), 8: (13073, 3254, 9819),
+        12: (9817, 2438, 7379),
+    }
+    spf = spf_sieve(1_000_001)
+    fib = make_context(1, -1)
+    for d, want in pinned.items():
+        rep = empirical_density(fib, d, 1_000_000, spf=spf)
+        assert (rep.counted, rep.counted_plus, rep.counted_minus) == want, d
+        assert rep.eligible == 78496
+
+
 def test_empirical_report_invariants(spf_small):
     rep = empirical_density(make_context(2, -1), 4, 20_000, spf=spf_small)
     assert rep.counted == rep.counted_plus + rep.counted_minus
@@ -216,6 +241,57 @@ def test_empirical_direct_element_equivalence(spf_small):
     assert via_pair.counted == via_elem.counted
     assert via_pair.eligible == via_elem.eligible
     assert via_pair.counted_plus == via_elem.counted_plus
+
+
+def _differential_targets():
+    rng = random.Random(5077)
+    targets = [make_context(21, 5), make_context(-33, 2)]  # 3, 7 and 11 divide a1
+    while len(targets) < 8:
+        a1, a2 = rng.randint(-40, 40), rng.randint(-40, 40)
+        try:
+            targets.append(make_context(a1, a2))
+        except LucasDensityError:
+            continue
+    targets += [exp.gamma for exp in REFERENCE_PROFILES]
+    # beyond 2^63, with an excluded locus that factors in milliseconds
+    targets.append(make_context(2**64 + 15, -(2**64 + 21)))
+    a, b = 2**32 + 1, 3**20 + 2
+    n = a * a + b * b
+    targets.append(QuadElem(-4, Fraction(a * a - b * b, n), Fraction(a * b, n)))
+    return targets
+
+
+def test_empirical_counter_matches_scalar_rank(spf_small):
+    x = 50_000
+    divisors = (1, 2, 4, 6, 9, 12, 30, 111)
+    on_a1 = 0
+    for target in _differential_targets():
+        is_pair = isinstance(target, SequenceContext)
+        disc = target.delta if is_pair else target.disc_k
+        assert is_pair or qf_norm(target) == 1
+        ranks, plus_side = [], []
+        for p in spf_small.primes_up_to(x)[1:].tolist():
+            try:
+                ranks.append(rank(p, target, spf_small))
+            except LucasDensityError:
+                continue  # the excluded locus
+            plus_side.append(jacobi(disc % p, p) == 1)
+            if is_pair and target.a1 % p == 0:
+                on_a1 += 1
+        for d in divisors:
+            rep = empirical_density(target, d, x, spf=spf_small)
+            hits = [r % d == 0 for r in ranks]
+            assert rep.eligible == len(ranks), (str(target), d)
+            assert rep.counted == sum(hits), (str(target), d)
+            assert rep.counted_plus == sum(h and s for h, s in zip(hits, plus_side))
+    assert on_a1 >= 3
+
+
+def test_empirical_large_coefficients_finish_quickly():
+    t0 = time.perf_counter()
+    rep = empirical_density(make_context(10**9 + 7, 10**9 + 9), 2, 10_000)
+    assert time.perf_counter() - t0 < 5.0
+    assert 0 < rep.counted < rep.eligible
 
 
 def test_empirical_csv_dump(tmp_path, spf_small):
