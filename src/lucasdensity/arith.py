@@ -275,17 +275,3 @@ def iter_smooth(d: int) -> Iterator[int]:
             if v * p not in seen:
                 seen.add(v * p)
                 heapq.heappush(heap, v * p)
-
-
-def integer_nth_root(n: int, k: int) -> int:
-    """Floor of the k-th root of n >= 0."""
-    if n < 0:
-        raise LucasDensityError("integer_nth_root needs n >= 0")
-    if n in (0, 1) or k == 1:
-        return n
-    x = int(round(n ** (1.0 / k)))
-    while x > 0 and x ** k > n:
-        x -= 1
-    while (x + 1) ** k <= n:
-        x += 1
-    return x

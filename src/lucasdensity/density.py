@@ -8,6 +8,7 @@ defining degree/fixed-point series.  No floats anywhere.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -190,22 +191,19 @@ class KummerProfile:
         return self.pix.h
 
 
-_PIX_CACHE: dict = {}
-_PROFILE_CACHE: dict = {}
+# Entries per profile cache.  The 18 reference rows fill 15 power-index and 9
+# profile entries, so the bound only caps growth over a stream of new elements.
+_CACHE_SIZE = 256
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _pix(gamma: QuadElem) -> PowerIndexData:
-    got = _PIX_CACHE.get(gamma)
-    if got is None:
-        got = _PIX_CACHE[gamma] = power_index(gamma)
-    return got
+    return power_index(gamma)
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def kummer_profile(gamma: QuadElem) -> KummerProfile:
     """Profile of a normal-form element (maximal twist already at zeta = 1)."""
-    got = _PROFILE_CACHE.get(gamma)
-    if got is not None:
-        return got
     pix = _pix(gamma)
     if pix.zeta_star_exp != 0:
         raise CaseError("profile requested for an element not in normal form")
@@ -219,9 +217,7 @@ def kummer_profile(gamma: QuadElem) -> KummerProfile:
         # the conductor divisibilities used downstream, do not depend on which
         # coprime-power representative is taken
         cond = cubic_conductor(pix.restricted(6)[2])
-    got = KummerProfile(gamma, pix, sq, cond)
-    _PROFILE_CACHE[gamma] = got
-    return got
+    return KummerProfile(gamma, pix, sq, cond)
 
 
 def _gamma_of(target: Target) -> QuadElem:

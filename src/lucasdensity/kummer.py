@@ -4,7 +4,8 @@ The membership machinery: given the normalised root z of a norm-one element,
 decide in which cyclotomic extensions of K its square/cube/fourth roots live,
 and from that compute [K(zeta_n, gamma^(1/d)) : Q] exactly.  Field
 discriminants of the degree-3/4 defining polynomials are computed from
-scratch (Dedekind/radical-quotient maximalisation), no tables.
+scratch (Dedekind/radical-quotient maximalisation), no tables; every linear
+solve in it is an integer forward substitution against a Hermite basis.
 """
 
 from __future__ import annotations
@@ -234,36 +235,34 @@ def _row_hnf(gens: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def _mat_inv_fractions(mat: list[list[int]]) -> list[list[Fraction]]:
-    n = len(mat)
-    aug = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+def _solve_upper(y: Sequence[int], mat: list[list[int]], what: str) -> list[int]:
+    """The integer x with x*mat = y, for upper-triangular mat with positive diagonal.
+
+    Forward substitution; a remainder means x is not integral, which the
+    caller's invariant (``what``) rules out.
+    """
+    x: list[int] = []
+    for j in range(len(y)):
+        q, r = divmod(y[j] - sum(x[i] * mat[i][j] for i in range(j)), mat[j][j])
+        assert r == 0, what
+        x.append(q)
+    return x
 
 
 def _structure_constants(mat: list[list[int]], den: int, f: Sequence[int]) -> list[list[list[int]]]:
     """T[i][j] = coordinates of b_i*b_j in the order basis; must be integral."""
     n = len(f) - 1
-    inv = _mat_inv_fractions(mat)
+    what = "order is not multiplicatively closed"
     table = []
     for i in range(n):
         row = []
         for j in range(n):
             prod = _poly_mul_mod(mat[i], mat[j], f)  # den^2 * b_i b_j in power coords
             coords = []
-            for k in range(n):
-                val = sum(Fraction(prod[t]) * inv[t][k] for t in range(n)) / den
-                assert val.denominator == 1, "order is not multiplicatively closed"
-                coords.append(int(val))
+            for c in _solve_upper(prod, mat, what):  # den * (b_i b_j in the order basis)
+                q, r = divmod(c, den)
+                assert r == 0, what
+                coords.append(q)
             row.append(coords)
         table.append(row)
     return table
@@ -328,7 +327,6 @@ def poly_field_disc(coeffs: Sequence[int]) -> int:
             radical = _nullspace_mod_p(power, n, p)
             ideal = _row_hnf([[p * int(i == j) for j in range(n)] for i in range(n)]
                              + [r[:] for r in radical])
-            ideal_inv = _mat_inv_fractions(ideal)
             # multiplier test: which x in O/pO send the radical ideal into p*ideal
             mult_rows = []
             for i in range(n):
@@ -339,10 +337,7 @@ def poly_field_disc(coeffs: Sequence[int]) -> int:
                         if ct:
                             for k2 in range(n):
                                 prod[k2] += ct * table[i][t][k2]
-                    for k2 in range(n):
-                        val = sum(Fraction(prod[t]) * ideal_inv[t][k2] for t in range(n))
-                        assert val.denominator == 1, "ideal is not stable under the order"
-                        flat.append(int(val))
+                    flat.extend(_solve_upper(prod, ideal, "ideal is not stable under the order"))
                 mult_rows.append(flat)
             kernel = _nullspace_mod_p(mult_rows, n * n, p)
             if not kernel:

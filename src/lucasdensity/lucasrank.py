@@ -48,10 +48,11 @@ CHUNK = 1 << 14
 
 @dataclass(frozen=True)
 class SpfTable:
-    """Smallest-prime-factor table for 2..limit."""
+    """Smallest-prime-factor table for 2..limit, with the primes in it ascending."""
 
     limit: int
     spf: np.ndarray
+    primes: np.ndarray
 
     def __post_init__(self) -> None:
         assert len(self.spf) == self.limit + 1, "table must cover 0..limit"
@@ -70,12 +71,10 @@ class SpfTable:
         return out
 
     def primes_up_to(self, x: int) -> np.ndarray:
-        """All primes <= x as an int64 array."""
+        """All primes <= x as a read-only int64 array."""
         if x > self.limit:
             raise LimitError(f"{x} exceeds the sieved limit {self.limit}")
-        idx = np.arange(x + 1, dtype=self.spf.dtype)
-        return np.flatnonzero(self.spf[: x + 1] == idx)[1:].astype(np.int64)
-        # [1:] drops index 0, whose spf entry is 0 and matches idx[0]
+        return self.primes[: np.searchsorted(self.primes, x, side="right")]
 
 
 def spf_sieve(limit: int) -> SpfTable:
@@ -90,9 +89,10 @@ def spf_sieve(limit: int) -> SpfTable:
             window = spf[p * p :: p]
             window[window == 0] = p
     # untouched entries >= 2 have no factor below their square root: primes
-    rest = np.flatnonzero(spf == 0)
-    spf[rest[2:]] = rest[2:]
-    return SpfTable(limit=limit, spf=spf)
+    primes = np.flatnonzero(spf == 0)[2:].astype(np.int64, copy=False)
+    spf[primes] = primes
+    primes.flags.writeable = False  # primes_up_to hands out views of it
+    return SpfTable(limit=limit, spf=spf, primes=primes)
 
 
 # ---------------------------------------------------------------------------

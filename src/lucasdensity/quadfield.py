@@ -106,12 +106,6 @@ def qf_pow(x: QuadElem, k: int) -> QuadElem:
     return out
 
 
-def fundamental_disc_of(n: int) -> int:
-    """Fundamental discriminant of Q(sqrt(n)) for a non-square integer n."""
-    s, _ = squarefree_kernel(Fraction(n))
-    return s if s % 4 == 1 else 4 * s
-
-
 def gamma_from_radicand(u: Fraction, v: Fraction, radicand: int) -> QuadElem:
     """Rewrite u + v*sqrt(radicand) over the fundamental discriminant."""
     if radicand == 0 or math.isqrt(abs(radicand)) ** 2 == radicand:
@@ -250,7 +244,8 @@ def _attempt_root(x: QuadElem, n: int, bound: int, dps: int):
             if max(res_u, res_v) > _REJECT:
                 continue  # nowhere near a bounded-denominator rational
             y = QuadElem(disc, cu, cv)
-            if qf_pow(y, n) == x:
+            # the norm test is cheap and rejects most wrong candidates
+            if qf_norm(y) ** n == qf_norm(x) and qf_pow(y, n) == x:
                 return y
             # the closest admissible rational fails the exact certificate,
             # so this twist carries no root at all
@@ -338,9 +333,6 @@ class PowerIndexData:
     zeta_star: QuadElem
     gamma_tilde: QuadElem
     gamma0: QuadElem
-
-    def tie_break_order(self) -> tuple[int, ...]:
-        return _tie_break_order(len(self.table))
 
     def restricted(self, m: int) -> tuple[int, int, QuadElem]:
         """(h_m, exponent, root) maximising h(zeta) over twists with zeta^m = 1."""

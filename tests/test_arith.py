@@ -11,7 +11,6 @@ from lucasdensity.arith import (
     euler_phi,
     factorize,
     gcd_power_infinity,
-    integer_nth_root,
     is_probable_prime,
     iter_smooth,
     jacobi,
@@ -133,13 +132,3 @@ def test_smooth_numbers():
     assert smooth_numbers(1, 100) == [1]
     assert list(itertools.islice(iter_smooth(10), 8)) == [1, 2, 4, 5, 8, 10, 16, 20]
     assert list(iter_smooth(1)) == [1]
-
-
-def test_integer_nth_root():
-    assert integer_nth_root(0, 3) == 0
-    assert integer_nth_root(26, 3) == 2
-    assert integer_nth_root(27, 3) == 3
-    assert integer_nth_root(10**18, 2) == 10**9
-    big = 12345**7
-    assert integer_nth_root(big, 7) == 12345
-    assert integer_nth_root(big - 1, 7) == 12344

@@ -17,13 +17,21 @@ from lucasdensity.density import (
     REFERENCE_PROFILES,
     REFERENCE_ROWS,
     DensityResult,
+    _pix,
     dispatch,
     kummer_profile,
     s_eval,
     series_oracle,
 )
 from lucasdensity.errors import HypothesisError, ReducibleError, TorsionError
-from lucasdensity.quadfield import QuadElem, make_context, power_index, qf_conj
+from lucasdensity.quadfield import (
+    QuadElem,
+    make_context,
+    power_index,
+    qf_conj,
+    qf_inv,
+    qf_mul,
+)
 
 
 def qf_neg(x: QuadElem) -> QuadElem:
@@ -138,6 +146,24 @@ def test_reference_profiles():
             assert prof.cond is None
         else:
             assert prof.cond is not None and prof.cond.value == exp.conductor
+
+
+def test_profile_caches_stay_bounded():
+    elems = []
+    for a in range(1, 400):
+        w = QuadElem(-15, a, 1)
+        g = _normalized(qf_mul(w, qf_inv(qf_conj(w))))
+        if g not in elems:
+            elems.append(g)
+        if len(elems) == 300:
+            break
+    profiles = [kummer_profile(g) for g in elems]
+    for cache in (kummer_profile, _pix):
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize < len(elems)
+    assert kummer_profile(elems[-1]) is profiles[-1]  # still cached
+    again = kummer_profile(elems[0])  # evicted, so computed afresh
+    assert again is not profiles[0] and again == profiles[0]
 
 
 def test_fibonacci_even_rank_density():
@@ -265,6 +291,19 @@ def test_oracle_contains_closed_forms():
         assert box.contains(closed.delta), key
         assert box.width() < 1e-3, key
     assert time.monotonic() - t0 < 30
+
+
+def test_large_pair_finishes_quickly():
+    # bounded only because is_nth_power rejects wrong float candidates by
+    # their norm before it re-powers them exactly
+    t0 = time.perf_counter()
+    res = dispatch(make_context(7, 2**64), 8)
+    assert time.perf_counter() - t0 < 2.0
+    assert (res.delta, res.delta_plus, res.delta_minus) == (F(1, 12), F(1, 24), F(1, 24))
+    assert res.case_tag == CASE_Q1_IMAG
+    assert [(t.d, t.e, t.h, t.nu, t.coefficient, t.value) for t in res.trace] == [
+        (8, 1, 2, 1, F(1), F(1, 12))
+    ]
 
 
 def test_oracle_narrow_on_trivial_divisor():

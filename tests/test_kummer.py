@@ -29,6 +29,7 @@ from lucasdensity.quadfield import (
     qf_conj,
     qf_inv,
     qf_mul,
+    qf_pow,
 )
 
 F = Fraction
@@ -156,6 +157,26 @@ def test_poly_field_disc_pinned():
         assert poly_field_disc(coeffs) == expected, f"disc of {coeffs}"
 
 
+# Large coefficients and indices, so round two runs several rounds per prime.
+# Kept out of the sympy cross-check: round_two gives 28444 for the first one,
+# which does not even divide its polynomial discriminant 3.6e10.
+LARGE_FIELD_DISC_CASES = [
+    ([2250, 0, -100, 0, 1], 256000),
+    ([4212, 0, -676, 0, 1], 140608),
+    ([45125, 0, -625, 0, 1], 2000),
+    ([16456659200, 0, -469225, 0, 1], 64283825),
+    ([7920619064372, 0, -31561924, 0, 1], 9528128),
+    ([17682889711844084, 0, -280964644, 0, 1], 451098944),
+    ([-9077675777, -10256403, 0, 1], 149769),
+    ([-343265163058, -337652643, 0, 1], 859329),
+]
+
+
+def test_poly_field_disc_large_coefficients_pinned():
+    for coeffs, expected in LARGE_FIELD_DISC_CASES:
+        assert poly_field_disc(coeffs) == expected, f"disc of {coeffs}"
+
+
 def _sympy_field_disc(coeffs):
     sympy = pytest.importorskip("sympy")
     from sympy.polys.numberfields.basis import round_two
@@ -232,6 +253,44 @@ def test_cubic_conductor_pinned():
         assert cond.base == 3
         assert cond.base_exponent == exponent
         assert cond.squarefree_part == rest
+
+
+def _powered_norm_one(rng, disc, n):
+    """A 3rd, 5th or 7th power of w/conj(w), w up to 10^2, that is not an n-th power."""
+    while True:
+        scale = 10 ** rng.randint(1, 2)
+        a, b = rng.randint(-scale, scale), rng.randint(1, scale)
+        if a == 0:
+            continue
+        w = QuadElem(disc, a, b)
+        z = qf_pow(qf_mul(w, qf_inv(qf_conj(w))), rng.choice((3, 5, 7)))
+        if is_nth_power(z, n) is None:
+            return z
+
+
+# pinned conductors of the seeded corpus below (denominators up to 31 digits)
+QUARTIC_CORPUS_VALUES = [
+    208, 1924, 18052, 20, 232, 1492, 116, 164, 136, 68,
+    20, 1124, 1864, 64784, 272, 788, 244, 9224, 580, 436,
+]
+CUBIC_CORPUS_VALUES = [
+    18639, 34677, 9, 8197, 181881, 9841, 3541, 9, 63, 603,
+    259, 95103, 63891, 819, 2611, 927, 26307, 117, 247, 9,
+]
+
+
+def test_conductors_pinned_on_large_denominators():
+    rng = random.Random(20261018)
+    for expected in QUARTIC_CORPUS_VALUES:
+        z = _powered_norm_one(rng, -4, 2)
+        cond = quartic_conductor(z)
+        assert cond.value == expected, f"quartic conductor of {z}"
+        assert cond.value == 2 ** cond.base_exponent * cond.squarefree_part
+    for expected in CUBIC_CORPUS_VALUES:
+        z = _powered_norm_one(rng, -3, 3)
+        cond = cubic_conductor(z)
+        assert cond.value == expected, f"cubic conductor of {z}"
+        assert cond.value == 3 ** cond.base_exponent * cond.squarefree_part
 
 
 def _random_norm_one(rng, disc):

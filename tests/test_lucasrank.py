@@ -5,6 +5,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from lucasdensity.arith import jacobi
@@ -75,6 +76,18 @@ def test_primes_up_to(spf_small):
         53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
     ]
     assert len(spf_small.primes_up_to(100_000)) == 9592
+
+
+def test_primes_up_to_matches_full_scan(spf_small):
+    limit = spf_small.limit
+    for x in (2, 3, limit, 99_991, 99_990):  # 99_991 is prime
+        idx = np.arange(x + 1, dtype=spf_small.spf.dtype)
+        expected = np.flatnonzero(spf_small.spf[: x + 1] == idx)[1:]
+        got = spf_small.primes_up_to(x)
+        assert got.dtype == np.int64
+        assert got.tolist() == expected.tolist(), f"x = {x}"
+    with pytest.raises(LimitError):
+        spf_small.primes_up_to(limit + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +207,10 @@ def test_empirical_d1_counts_everything(spf_small):
     assert rep.ratio_plus + rep.ratio_minus == 1
 
 
-def test_empirical_parallel_matches_serial(spf_small):
-    ctx = make_context(1, -1)
-    serial = empirical_density(ctx, 2, 30_000, spf=spf_small, threads=1)
-    parallel = empirical_density(ctx, 2, 30_000, spf=spf_small, threads=4)
-    for field in ("counted", "counted_plus", "counted_minus", "eligible"):
-        assert getattr(serial, field) == getattr(parallel, field)
+def test_empirical_threads_accepted_and_ignored(spf_small):
+    # threads is a deprecated no-op: threads=4 must still be accepted
+    rep = empirical_density(make_context(1, -1), 2, 30_000, spf=spf_small, threads=4)
+    assert (rep.counted_plus, rep.counted_minus, rep.eligible) == (1334, 822, 3243)
 
 
 def test_empirical_fibonacci_two_thirds(spf_small):
