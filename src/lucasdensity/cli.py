@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from fractions import Fraction
@@ -14,8 +13,8 @@ from .density import (
     DensityResult,
     REFERENCE_ROWS,
     dispatch,
+    normal_form,
     series_oracle,
-    _pix,
 )
 from .errors import (
     LimitError,
@@ -30,8 +29,8 @@ from .lucasrank import empirical_density, spf_sieve
 from .quadfield import (
     QuadElem,
     SequenceContext,
-    _is_torsion,
     gamma_from_radicand,
+    is_torsion,
     make_context,
     qf_norm,
 )
@@ -66,15 +65,6 @@ def _rat_dec(x: Fraction) -> str:
 
 def _num_den(x: Fraction) -> dict:
     return {"num": x.numerator, "den": x.denominator}
-
-
-def _fmt_gamma(g: QuadElem) -> str:
-    den = g.u.denominator
-    den = den * g.v.denominator // math.gcd(den, g.v.denominator)
-    nu = g.u * den
-    nv = g.v * den
-    core = f"{nu.numerator}{'+' if nv >= 0 else '-'}{abs(nv.numerator)}*sqrt({g.disc_k})"
-    return core if den == 1 else f"({core})/{den}"
 
 
 def _echo_str(value) -> object:
@@ -211,7 +201,7 @@ def _resolve_target(args: argparse.Namespace) -> Target:
         raise LucasDensityError(
             f"element must have norm 1, got {qf_norm(gamma)}"
         )
-    if _is_torsion(gamma):
+    if is_torsion(gamma):
         raise TorsionError("element is a root of unity: rank is not defined")
     return gamma
 
@@ -240,9 +230,7 @@ def cmd_density(args: argparse.Namespace) -> int:
         print(f"case = {result.case_tag}")
 
     if args.oracle_check:
-        gamma = target.gamma if isinstance(target, SequenceContext) else target
-        pix = _pix(gamma)
-        norm = gamma if pix.zeta_star_exp == 0 else pix.gamma_tilde
+        norm = normal_form(target)
         reference = dispatch(norm, args.d)
         interval = series_oracle(norm, args.d)
         inside = interval.contains(reference.delta)
@@ -331,7 +319,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
         ok = result.delta == row.delta and result.case_tag == row.case_tag
         mismatches += 0 if ok else 1
         entry = {
-            "gamma": _fmt_gamma(row.gamma),
+            "gamma": str(row.gamma),
             "d": row.d,
             "computed": _num_den(result.delta),
             "expected": _num_den(row.delta),

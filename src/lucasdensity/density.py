@@ -4,6 +4,12 @@ Everything here is exact rational arithmetic: the closed-form S sums, the
 per-case density formulas, the recursive dispatcher over the torsion twist of
 the root quotient, and a rigorous interval oracle obtained by truncating the
 defining degree/fixed-point series.  No floats anywhere.
+
+Each base case is a table of term rows (e, nu, coeff_plus, coeff_minus): the
+density is sum (coeff_plus + coeff_minus) * S_{d,e,h}(nu), and delta_plus and
+delta_minus (split and inert primes) are the sums with one weight each.  The
+trace lists every nonzero S value with its total weight.  The twisted cases
+rescale or combine the results of base cases.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .arith import (
 from .errors import (
     CaseError,
     HypothesisError,
+    LucasDensityError,
     OracleMismatchError,
     UnreachableCaseError,
 )
@@ -201,12 +208,32 @@ def _pix(gamma: QuadElem) -> PowerIndexData:
     return power_index(gamma)
 
 
+def _gamma_of(target: Target) -> QuadElem:
+    if isinstance(target, SequenceContext):
+        return target.gamma
+    if isinstance(target, QuadElem):
+        return target
+    raise ValueError(f"expected a sequence context or field element, got {target!r}")
+
+
+def normal_form(target: Target) -> QuadElem:
+    """The twist zeta* * gamma attaining the power index; gamma itself when zeta* = 1.
+
+    kummer_profile and series_oracle work on normal forms only; the density of
+    a twisted element differs from its normal form's (dispatch handles both).
+    """
+    return _pix(_gamma_of(target)).gamma_tilde
+
+
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def kummer_profile(gamma: QuadElem) -> KummerProfile:
     """Profile of a normal-form element (maximal twist already at zeta = 1)."""
     pix = _pix(gamma)
     if pix.zeta_star_exp != 0:
-        raise CaseError("profile requested for an element not in normal form")
+        raise LucasDensityError(
+            f"{gamma} is not in normal form: pass normal_form(gamma), "
+            "whose density can differ from the twisted element's"
+        )
     root2 = pix.restricted(2)[2]
     sq = sqrt_data(root2)
     cond: Optional[ConductorData] = None
@@ -218,14 +245,6 @@ def kummer_profile(gamma: QuadElem) -> KummerProfile:
         # coprime-power representative is taken
         cond = cubic_conductor(pix.restricted(6)[2])
     return KummerProfile(gamma, pix, sq, cond)
-
-
-def _gamma_of(target: Target) -> QuadElem:
-    if isinstance(target, SequenceContext):
-        return target.gamma
-    if isinstance(target, QuadElem):
-        return target
-    raise ValueError(f"expected a sequence context or field element, got {target!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +259,7 @@ def series_oracle(
     Exact partial sum over v | d^inf up to `cutoff`, plus a closed-form bound
     on the dropped tail coming from the uniform lower bound on the degrees
     [K_{dv,uv} : Q] >= phi(d) * v * uv / ((uv,h) * #mu(K) * 2).
+    The element must be in normal form (see normal_form).
     """
     gamma = _gamma_of(target)
     _validate_positive(d=d, cutoff=cutoff)
@@ -272,14 +292,12 @@ def series_oracle(
 # case formulas
 
 
-def _trace_of(entries: Sequence[tuple]) -> tuple:
-    # entries: (d, e, h, nu, coefficient, value); zero values are dropped so a
-    # trace lists exactly the sums that contribute structure
-    return tuple(
-        STerm(d, e, h, nu, Fraction(coeff), value)
-        for (d, e, h, nu, coeff, value) in entries
-        if value != 0
-    )
+_HALF = Fraction(1, 2)
+
+
+def _hat(n: int, d: int) -> int:
+    """|n| / gcd(d, |n|): the part of n that d does not absorb."""
+    return abs(n) // math.gcd(d, abs(n))
 
 
 def _result(
@@ -290,6 +308,26 @@ def _result(
     echo: dict,
 ) -> DensityResult:
     return DensityResult(delta_plus + delta_minus, delta_plus, delta_minus, tag, trace, echo)
+
+
+def _from_terms(
+    d: int, profile: KummerProfile, rows: Sequence[tuple], tag: str, echo: dict
+) -> DensityResult:
+    """Evaluate term rows (e, nu, coeff_plus, coeff_minus) of S_{d,e,h}(nu).
+
+    delta_plus and delta_minus are the row-weighted sums; the trace lists every
+    nonzero S value with the total weight coeff_plus + coeff_minus.
+    """
+    h = profile.h
+    dplus = dminus = Fraction(0)
+    trace = []
+    for e, nu, c_plus, c_minus in rows:
+        value = s_eval(d, e, h, nu)
+        if value:
+            dplus += c_plus * value
+            dminus += c_minus * value
+            trace.append(STerm(d, e, h, nu, Fraction(c_plus + c_minus), value))
+    return _result(dplus, dminus, tag, tuple(trace), echo)
 
 
 def _echo_base(profile: KummerProfile, **extra) -> dict:
@@ -312,21 +350,11 @@ def delta_q0(d: int, profile: KummerProfile) -> DensityResult:
     disc = profile.gamma.disc_k
     if profile.sqrt.q_flag or disc < 0 or d % 2 or profile.h % 2:
         raise CaseError(f"q0 preconditions fail for disc {disc}, d={d}")
-    h = profile.h
-    e = disc // math.gcd(d, disc)
-    s1 = s_eval(d, 1, h)
-    se = s_eval(d, e, h)
-    h2 = gcd_power_infinity(h, 2)
-    subtract = e % h2 != 0  # the twisted sum enters the minus part only then
-    dplus = (s1 + se) / 2
-    dminus = Fraction(3, 2) * (s1 - (se if subtract else 0))
-    trace = _trace_of(
-        [
-            (d, 1, h, 1, Fraction(2), s1),
-            (d, e, h, 1, Fraction(1, 2) - (Fraction(3, 2) if subtract else 0), se),
-        ]
-    )
-    return _result(dplus, dminus, CASE_Q0, trace, _echo_base(profile, e=e))
+    e = _hat(disc, d)
+    # the twisted sum enters the minus part only when (h, 2^inf) does not divide e
+    twisted_minus = -Fraction(3, 2) if e % gcd_power_infinity(profile.h, 2) else 0
+    rows = [(1, 1, _HALF, Fraction(3, 2)), (e, 1, _HALF, twisted_minus)]
+    return _from_terms(d, profile, rows, CASE_Q0, _echo_base(profile, e=e))
 
 
 def delta_q1(d: int, profile: KummerProfile) -> DensityResult:
@@ -334,34 +362,23 @@ def delta_q1(d: int, profile: KummerProfile) -> DensityResult:
     disc = profile.gamma.disc_k
     if not profile.sqrt.q_flag or disc in (-3, -4) or d % 2:
         raise CaseError(f"q1 preconditions fail for disc {disc}, d={d}")
-    h = profile.h
-    e = abs(disc) // math.gcd(d, abs(disc))
-    e1 = abs(profile.sqrt.delta1) // math.gcd(d, abs(profile.sqrt.delta1))
-    e2 = abs(profile.sqrt.delta2) // math.gcd(d, abs(profile.sqrt.delta2))
-    nu2 = 2 * gcd_power_infinity(h, 2)
-    s1 = s_eval(d, 1, h)
-    se = s_eval(d, e, h)
-    s_e1 = s_eval(d, e1, h, nu2)
-    s_e2 = s_eval(d, e2, h, nu2)
-    dplus = (s1 + se + s_e1 + s_e2) / 2
+    e = _hat(disc, d)
+    e1 = _hat(profile.sqrt.delta1, d)
+    e2 = _hat(profile.sqrt.delta2, d)
+    nu2 = 2 * gcd_power_infinity(profile.h, 2)
     if disc < 0:
-        dminus = dplus
-        tag = CASE_Q1_IMAG
-        coeffs = (1, 1, 1, 1)
+        tag, minus = CASE_Q1_IMAG, (_HALF, _HALF, _HALF, _HALF)
     else:
-        sign = -1 if profile.sqrt.c_positive else 1
-        dminus = (s1 - se) / 2 + Fraction(sign) * (s_e1 - s_e2) / 2
-        tag = CASE_Q1_REAL
-        coeffs = (1, 0, Fraction(1 + sign, 2), Fraction(1 - sign, 2))
-    trace = _trace_of(
-        [
-            (d, 1, h, 1, coeffs[0], s1),
-            (d, e, h, 1, coeffs[1], se),
-            (d, e1, h, nu2, coeffs[2], s_e1),
-            (d, e2, h, nu2, coeffs[3], s_e2),
-        ]
-    )
-    return _result(dplus, dminus, tag, trace, _echo_base(profile, e=e, e1=e1, e2=e2))
+        # the sign of c decides which square-root term the inert primes take
+        half_sign = -_HALF if profile.sqrt.c_positive else _HALF
+        tag, minus = CASE_Q1_REAL, (_HALF, -_HALF, half_sign, -half_sign)
+    rows = [
+        (1, 1, _HALF, minus[0]),
+        (e, 1, _HALF, minus[1]),
+        (e1, nu2, _HALF, minus[2]),
+        (e2, nu2, _HALF, minus[3]),
+    ]
+    return _from_terms(d, profile, rows, tag, _echo_base(profile, e=e, e1=e1, e2=e2))
 
 
 def delta_gauss(d: int, profile: KummerProfile) -> DensityResult:
@@ -369,31 +386,20 @@ def delta_gauss(d: int, profile: KummerProfile) -> DensityResult:
     disc = profile.gamma.disc_k
     if disc != -4 or d % 2 or not profile.sqrt.q_flag or profile.cond is None:
         raise CaseError(f"gauss preconditions fail for disc {disc}, d={d}")
-    h = profile.h
-    e = 4 // math.gcd(d, 4)
-    e1 = abs(profile.sqrt.delta1) // math.gcd(d, abs(profile.sqrt.delta1))
-    e2 = abs(profile.sqrt.delta2) // math.gcd(d, abs(profile.sqrt.delta2))
-    f_hat = profile.cond.value // math.gcd(d, profile.cond.value)
-    h2 = gcd_power_infinity(h, 2)
-    s1 = s_eval(d, 1, h)
-    se = s_eval(d, e, h)
-    s_e1 = s_eval(d, e1, h, 2 * h2)
-    s_e2 = s_eval(d, e2, h, 2 * h2)
-    s_f = s_eval(d, f_hat, h, 4 * h2)
-    delta = s1 + se + s_e1 + s_e2 + 4 * s_f
-    trace = _trace_of(
-        [
-            (d, 1, h, 1, 1, s1),
-            (d, e, h, 1, 1, se),
-            (d, e1, h, 2 * h2, 1, s_e1),
-            (d, e2, h, 2 * h2, 1, s_e2),
-            (d, f_hat, h, 4 * h2, 4, s_f),
-        ]
-    )
-    half = delta / 2
-    return _result(
-        half, half, CASE_GAUSS, trace, _echo_base(profile, e=e, e1=e1, e2=e2, f_hat=f_hat)
-    )
+    e = _hat(4, d)
+    e1 = _hat(profile.sqrt.delta1, d)
+    e2 = _hat(profile.sqrt.delta2, d)
+    f_hat = _hat(profile.cond.value, d)
+    h2 = gcd_power_infinity(profile.h, 2)
+    rows = [
+        (1, 1, _HALF, _HALF),
+        (e, 1, _HALF, _HALF),
+        (e1, 2 * h2, _HALF, _HALF),
+        (e2, 2 * h2, _HALF, _HALF),
+        (f_hat, 4 * h2, 2, 2),
+    ]
+    echo = _echo_base(profile, e=e, e1=e1, e2=e2, f_hat=f_hat)
+    return _from_terms(d, profile, rows, CASE_GAUSS, echo)
 
 
 def delta_eisen(d: int, profile: KummerProfile) -> DensityResult:
@@ -402,36 +408,19 @@ def delta_eisen(d: int, profile: KummerProfile) -> DensityResult:
     if disc != -3 or math.gcd(d, 6) == 1 or profile.cond is None:
         raise CaseError(f"eisen preconditions fail for disc {disc}, d={d}")
     h = profile.h
-    e1 = abs(profile.sqrt.delta1) // math.gcd(d, abs(profile.sqrt.delta1))
-    e2 = abs(profile.sqrt.delta2) // math.gcd(d, abs(profile.sqrt.delta2))
-    e_min = min(e1, e2)
-    f_hat = profile.cond.value // math.gcd(d, profile.cond.value)
+    e_min = min(_hat(profile.sqrt.delta1, d), _hat(profile.sqrt.delta2, d))
+    f_hat = _hat(profile.cond.value, d)
     ell = math.lcm(e_min, f_hat)
-    h2 = gcd_power_infinity(h, 2)
-    h3 = gcd_power_infinity(h, 3)
-    h6 = gcd_power_infinity(h, 6)
-    lead = Fraction(2 if d % 3 == 0 else 1)
-    s1 = s_eval(d, 1, h)
-    s_e = s_eval(d, e_min, h, 2 * h2)
-    s_f = s_eval(d, f_hat, h, 3 * h3)
-    s_l = s_eval(d, ell, h, 6 * h6)
-    delta = lead * (s1 + s_e + 2 * s_f + 2 * s_l)
-    trace = _trace_of(
-        [
-            (d, 1, h, 1, lead, s1),
-            (d, e_min, h, 2 * h2, lead, s_e),
-            (d, f_hat, h, 3 * h3, 2 * lead, s_f),
-            (d, ell, h, 6 * h6, 2 * lead, s_l),
-        ]
-    )
-    half = delta / 2
-    return _result(
-        half,
-        half,
-        CASE_EISEN,
-        trace,
-        _echo_base(profile, e_min=e_min, f_hat=f_hat, ell=ell),
-    )
+    lead = 2 if d % 3 == 0 else 1
+    half = Fraction(lead, 2)
+    rows = [
+        (1, 1, half, half),
+        (e_min, 2 * gcd_power_infinity(h, 2), half, half),
+        (f_hat, 3 * gcd_power_infinity(h, 3), lead, lead),
+        (ell, 6 * gcd_power_infinity(h, 6), lead, lead),
+    ]
+    echo = _echo_base(profile, e_min=e_min, f_hat=f_hat, ell=ell)
+    return _from_terms(d, profile, rows, CASE_EISEN, echo)
 
 
 def delta_odd_generic(
@@ -444,28 +433,12 @@ def delta_odd_generic(
     coprime_to = 6 if disc == -3 else 2
     if math.gcd(d, coprime_to) != 1:
         raise CaseError(f"odd-generic preconditions fail for disc {disc}, d={d}")
-    h = profile.h
-    if disc > 0:
-        e = disc // math.gcd(d, disc)
-        s1 = s_eval(d, 1, h)
-        se = s_eval(d, e, h)
-        dplus = (s1 + se) / 2
-        dminus = (s1 - se) / 2
-        trace = _trace_of([(d, 1, h, 1, 1, s1), (d, e, h, 1, 0, se)])
-    elif disc in (-3, -4):
-        e = 1
-        s1 = s_eval(d, 1, h)
-        dplus = dminus = s1 / 2
-        trace = _trace_of([(d, 1, h, 1, 1, s1)])
+    if disc in (-3, -4):
+        e, rows = 1, [(1, 1, _HALF, _HALF)]
     else:
-        e = abs(disc) // math.gcd(d, abs(disc))
-        s1 = s_eval(d, 1, h)
-        se = s_eval(d, e, h)
-        dplus = dminus = (s1 + se) / 2
-        trace = _trace_of([(d, 1, h, 1, 1, s1), (d, e, h, 1, 1, se)])
-    result = _result(
-        dplus, dminus, CASE_ODD_GENERIC, trace, _echo_base(profile, e=e)
-    )
+        e = _hat(disc, d)
+        rows = [(1, 1, _HALF, _HALF), (e, 1, _HALF, _HALF if disc < 0 else -_HALF)]
+    result = _from_terms(d, profile, rows, CASE_ODD_GENERIC, _echo_base(profile, e=e))
     witness = series_oracle(profile.gamma, d, oracle_cutoff)
     if not witness.contains(result.delta):
         raise OracleMismatchError(

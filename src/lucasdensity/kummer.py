@@ -15,28 +15,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .arith import divisors, euler_phi, factorize, gcd_power_infinity, squarefree_kernel
+from .arith import divisors, euler_phi, factorize, gcd_power_infinity
 from .errors import (
     DegenerateError,
     LucasDensityError,
     ReducibleError,
     ShapeError,
 )
-from .quadfield import PowerIndexData, QuadElem, qf_norm
+from .quadfield import PowerIndexData, QuadElem, disc_and_scale, qf_norm
 
 # ---------------------------------------------------------------------------
-# quadratic discriminants and square-root data
+# square-root data
 # ---------------------------------------------------------------------------
-
-
-def quad_disc(q: Fraction | int) -> int:
-    """Fundamental discriminant of Q(sqrt(q)); 1 when q is a square.
-
-    >>> quad_disc(Fraction(-4, 5)), quad_disc(Fraction(1, 40)), quad_disc(Fraction(9, 4))
-    (-20, 40, 1)
-    """
-    s, _ = squarefree_kernel(Fraction(q))
-    return s if s % 4 == 1 else 4 * s
 
 
 @dataclass(frozen=True)
@@ -68,8 +58,8 @@ def sqrt_data(root: QuadElem) -> SqrtData:
     return SqrtData(
         q_flag=True,
         c=c,
-        delta1=quad_disc(c),
-        delta2=quad_disc(c / root.disc_k),
+        delta1=disc_and_scale(c)[0],
+        delta2=disc_and_scale(c / root.disc_k)[0],
         c_positive=c > 0,
     )
 

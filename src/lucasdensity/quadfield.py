@@ -44,18 +44,19 @@ class QuadElem:
         object.__setattr__(self, "u", Fraction(self.u))
         object.__setattr__(self, "v", Fraction(self.v))
         d = self.disc_k
-        assert d % 4 in (0, 1) and d != 0, f"not a discriminant: {d}"
-        assert d < 0 or math.isqrt(d) ** 2 != d, f"square discriminant: {d}"
+        if d % 4 not in (0, 1) or d == 0:
+            raise LucasDensityError(f"not a discriminant: {d}")
+        if d > 0 and math.isqrt(d) ** 2 == d:
+            raise LucasDensityError(f"square discriminant: {d}")
 
     def __neg__(self) -> "QuadElem":
         return QuadElem(self.disc_k, -self.u, -self.v)
 
     def __str__(self) -> str:
-        if self.v == 0:
-            return str(self.u)
+        """ASCII form (a+b*sqrt(D))/c over the common denominator; b always shown."""
         c = math.lcm(self.u.denominator, self.v.denominator)
         a, b = self.u * c, self.v * c
-        core = f"{a}{'+' if b >= 0 else '-'}{abs(b) if abs(b) != 1 else ''}√{self.disc_k}"
+        core = f"{a}{'+' if b >= 0 else '-'}{abs(b)}*sqrt({self.disc_k})"
         return f"({core})/{c}" if c != 1 else core
 
 
@@ -106,13 +107,25 @@ def qf_pow(x: QuadElem, k: int) -> QuadElem:
     return out
 
 
+def disc_and_scale(q: Fraction | int) -> tuple[int, Fraction]:
+    """Fundamental discriminant of Q(sqrt(q)) and the scale with sqrt(q) = scale*sqrt(disc).
+
+    The discriminant is 1 when q is a rational square.
+
+    >>> [disc_and_scale(q)[0] for q in (Fraction(-4, 5), Fraction(1, 40), Fraction(9, 4))]
+    [-20, 40, 1]
+    >>> disc_and_scale(-12)
+    (-3, Fraction(2, 1))
+    """
+    s, t = squarefree_kernel(Fraction(q))
+    return (s, t) if s % 4 == 1 else (4 * s, t / 2)
+
+
 def gamma_from_radicand(u: Fraction, v: Fraction, radicand: int) -> QuadElem:
     """Rewrite u + v*sqrt(radicand) over the fundamental discriminant."""
     if radicand == 0 or math.isqrt(abs(radicand)) ** 2 == radicand:
         raise ReducibleError(f"radicand {radicand} is a perfect square: no quadratic field")
-    s, t = squarefree_kernel(Fraction(radicand))
-    disc = s if s % 4 == 1 else 4 * s
-    scale = t if s % 4 == 1 else t / 2  # sqrt(radicand) = scale * sqrt(disc)
+    disc, scale = disc_and_scale(radicand)
     return QuadElem(disc, Fraction(u), Fraction(v) * scale)
 
 
@@ -148,8 +161,8 @@ def torsion_units(disc_k: int) -> list[QuadElem]:
         out.append(nxt)
 
 
-def _is_torsion(x: QuadElem) -> bool:
-    # quadratic fields only contain roots of unity of order dividing 4 or 6
+def is_torsion(x: QuadElem) -> bool:
+    """True when x is a root of unity (of order dividing 4 or 6, as in any quadratic field)."""
     one = qf_one(x.disc_k)
     y = x
     for _ in range(6):
@@ -166,16 +179,14 @@ def make_context(a1: int, a2: int) -> SequenceContext:
     delta = a1 * a1 - 4 * a2
     if delta >= 0 and math.isqrt(delta) ** 2 == delta:
         raise ReducibleError(f"characteristic polynomial splits over Q (delta = {delta})")
-    s, t = squarefree_kernel(Fraction(delta))
-    disc = s if s % 4 == 1 else 4 * s
-    scale = t if s % 4 == 1 else t / 2  # sqrt(delta) = scale * sqrt(disc)
+    disc, scale = disc_and_scale(delta)
     gamma = QuadElem(
         disc,
         Fraction(a1 * a1 - 2 * a2, 2 * a2),
         Fraction(a1, 2 * a2) * scale,
     )
     assert qf_norm(gamma) == 1, "root quotient must have norm 1"
-    if _is_torsion(gamma):
+    if is_torsion(gamma):
         raise TorsionError(f"root quotient of ({a1}, {a2}) is a root of unity")
     return SequenceContext(a1=a1, a2=a2, delta=delta, disc_k=disc, gamma=gamma)
 
@@ -446,7 +457,7 @@ def power_index(gamma: QuadElem) -> PowerIndexData:
     """h(zeta) for all torsion zeta, and the data of the maximising twist."""
     disc = gamma.disc_k
     assert qf_norm(gamma) == 1, "power index is only defined for norm-1 elements"
-    assert not _is_torsion(gamma), "torsion inputs were excluded at context creation"
+    assert not is_torsion(gamma), "torsion inputs were excluded at context creation"
     exps = _support_exponents(gamma)
     if exps:
         cap = math.gcd(*exps)

@@ -17,6 +17,7 @@ from lucasdensity.density import (
     REFERENCE_ROWS,
     dispatch,
     kummer_profile,
+    normal_form,
     s_eval,
     series_oracle,
 )
@@ -89,8 +90,7 @@ def test_criterion_2_intermediate_columns():
         if pix.gamma0 not in candidates:
             bad.append((str(exp.gamma), "root", str(pix.gamma0)))
             continue
-        norm_form = exp.gamma if exp.zeta_exp == 0 else pix.gamma_tilde
-        prof = kummer_profile(norm_form)
+        prof = kummer_profile(normal_form(exp.gamma))
         if prof.sqrt.q_flag != exp.q:
             bad.append((str(exp.gamma), "q", prof.sqrt.q_flag))
             continue
@@ -118,8 +118,7 @@ def test_criterion_4_series_oracle_consistency():
     worst = 0.0
     bad = []
     for row in REFERENCE_ROWS:
-        pix = power_index(row.gamma)
-        norm = row.gamma if pix.zeta_star_exp == 0 else pix.gamma_tilde
+        norm = normal_form(row.gamma)
         closed = dispatch(norm, row.d).delta
         box = series_oracle(norm, row.d, cutoff=10_000)
         width = float(box.width())

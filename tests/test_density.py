@@ -20,10 +20,17 @@ from lucasdensity.density import (
     _pix,
     dispatch,
     kummer_profile,
+    normal_form,
     s_eval,
     series_oracle,
 )
-from lucasdensity.errors import HypothesisError, ReducibleError, TorsionError
+from lucasdensity.errors import (
+    CaseError,
+    HypothesisError,
+    LucasDensityError,
+    ReducibleError,
+    TorsionError,
+)
 from lucasdensity.quadfield import (
     QuadElem,
     make_context,
@@ -31,6 +38,7 @@ from lucasdensity.quadfield import (
     qf_conj,
     qf_inv,
     qf_mul,
+    torsion_units,
 )
 
 
@@ -140,7 +148,7 @@ def test_reference_profiles():
         pix = power_index(exp.gamma)
         assert pix.h == exp.h, exp.gamma
         assert pix.zeta_star_exp == exp.zeta_exp, exp.gamma
-        prof = kummer_profile(pix.gamma_tilde if exp.zeta_exp else exp.gamma)
+        prof = kummer_profile(normal_form(exp.gamma))
         assert prof.sqrt.q_flag == exp.q, exp.gamma
         if exp.conductor is None:
             assert prof.cond is None
@@ -152,7 +160,7 @@ def test_profile_caches_stay_bounded():
     elems = []
     for a in range(1, 400):
         w = QuadElem(-15, a, 1)
-        g = _normalized(qf_mul(w, qf_inv(qf_conj(w))))
+        g = normal_form(qf_mul(w, qf_inv(qf_conj(w))))
         if g not in elems:
             elems.append(g)
         if len(elems) == 300:
@@ -272,16 +280,11 @@ def test_result_shape():
 # ---------------------------------------------------------------------------
 
 
-def _normalized(gamma: QuadElem) -> QuadElem:
-    pix = power_index(gamma)
-    return gamma if pix.zeta_star_exp == 0 else pix.gamma_tilde
-
-
 def test_oracle_contains_closed_forms():
     t0 = time.monotonic()
     seen = set()
     for row in REFERENCE_ROWS:
-        norm = _normalized(row.gamma)
+        norm = normal_form(row.gamma)
         key = (norm, row.d)
         if key in seen:
             continue
@@ -291,6 +294,26 @@ def test_oracle_contains_closed_forms():
         assert box.contains(closed.delta), key
         assert box.width() < 1e-3, key
     assert time.monotonic() - t0 < 30
+
+
+def test_normal_form_is_the_maximising_twist():
+    for exp in REFERENCE_PROFILES:
+        norm = normal_form(exp.gamma)
+        assert norm == qf_mul(torsion_units(exp.gamma.disc_k)[exp.zeta_exp], exp.gamma)
+        assert (norm == exp.gamma) == (exp.zeta_exp == 0)
+        assert normal_form(norm) == norm
+
+
+def test_oracle_rejects_twisted_element_with_typed_error():
+    ctx = make_context(1, -1)  # the Fibonacci root quotient is twisted by -1
+    with pytest.raises(LucasDensityError, match="normal_form") as info:
+        series_oracle(ctx, 2)
+    assert not isinstance(info.value, CaseError)
+    assert str(ctx.gamma) in str(info.value)
+    norm = normal_form(ctx)
+    assert series_oracle(norm, 2).contains(dispatch(norm, 2).delta)
+    row = REFERENCE_ROWS[8]  # a twisted Gaussian element: normalising changes the density
+    assert dispatch(normal_form(row.gamma), row.d).delta == Fraction(5, 144) != row.delta
 
 
 def test_large_pair_finishes_quickly():

@@ -17,13 +17,13 @@ from lucasdensity.kummer import (
     cubic_conductor,
     kummer_degree,
     poly_field_disc,
-    quad_disc,
     quartic_conductor,
     sigma_exists,
     sqrt_data,
 )
 from lucasdensity.quadfield import (
     QuadElem,
+    disc_and_scale,
     is_nth_power,
     power_index,
     qf_conj,
@@ -36,7 +36,7 @@ F = Fraction
 
 
 # ---------------------------------------------------------------------------
-# quad_disc
+# fundamental discriminants (disc_and_scale)
 # ---------------------------------------------------------------------------
 
 QUAD_DISC_CASES = [
@@ -56,12 +56,12 @@ QUAD_DISC_CASES = [
 
 def test_quad_disc_pinned():
     for q, expected in QUAD_DISC_CASES:
-        assert quad_disc(q) == expected, f"quad_disc({q})"
+        assert disc_and_scale(q)[0] == expected, f"disc_and_scale({q})"
 
 
 def test_quad_disc_rejects_zero():
     with pytest.raises(LucasDensityError):
-        quad_disc(0)
+        disc_and_scale(0)
 
 
 def test_quad_disc_is_a_discriminant():
@@ -70,7 +70,7 @@ def test_quad_disc_is_a_discriminant():
         q = F(rng.randint(-80, 80), rng.randint(1, 80))
         if q == 0:
             continue
-        d = quad_disc(q)
+        d = disc_and_scale(q)[0]
         assert d % 4 in (0, 1)
         odd = abs(d)
         while odd % 2 == 0:

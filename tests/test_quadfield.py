@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +30,44 @@ from lucasdensity.quadfield import (
     qf_pow,
     torsion_units,
 )
+
+# ---------------------------------------------------------------------------
+# elements
+# ---------------------------------------------------------------------------
+
+
+# run under python -O, which strips assert statements
+_OPTIMIZED_CHECK = """
+from lucasdensity import LucasDensityError, QuadElem, dispatch
+for disc in (7, 0, 9, 4):
+    try:
+        dispatch(QuadElem(disc, 1, 1), 2)
+    except LucasDensityError as exc:
+        print(type(exc).__name__, exc)
+"""
+
+
+def test_quad_elem_validation_survives_optimize_flag():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_CHECK],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "LucasDensityError not a discriminant: 7",
+        "LucasDensityError not a discriminant: 0",
+        "LucasDensityError square discriminant: 9",
+        "LucasDensityError square discriminant: 4",
+    ]
+
+
+def test_quad_elem_ascii_form():
+    assert str(QuadElem(8, F(3), F(1))) == "3+1*sqrt(8)"
+    assert str(QuadElem(29, F(-27, 2), F(-5, 2))) == "(-27-5*sqrt(29))/2"
+    assert str(QuadElem(-4, F(-3, 5), F(0))) == "(-3+0*sqrt(-4))/5"
+    assert str(QuadElem(-3, F(1, 2), F(-1, 6))) == "(3-1*sqrt(-3))/6"
+
 
 # ---------------------------------------------------------------------------
 # contexts
