@@ -6,12 +6,15 @@ multiplicative order of the norm-1 root quotient gamma modulo a prime above p,
 which is also the form used for elements given directly as u + v*sqrt(disc).
 Both inputs therefore reduce to one Lucas-V chain in t = tr(gamma) mod p:
 V_n(t) = gamma^n + gamma^-n, and gamma^n = 1 exactly when V_n(t) = 2.  The
-order divides m = p - chi(p), with chi(p) the Legendre symbol of the
-discriminant, so d | rank(p) is decided without factoring m: for each
+order divides m = p - chi(p), with chi(p) the Legendre symbol (D/p) of the
+discriminant D, so d | rank(p) is decided without factoring m: for each
 q^k || d, q^k must divide m and gamma^m' must differ from 1, where m' is m with
 its q-part cut down to q^(k-1).  The counter runs those ladders across all
-primes at once in numpy int64; rank() runs the full order descent on the
-scalar chain.
+primes at once in numpy int64, selecting each ladder step by arithmetic on the
+0/1 bit rather than np.where.  One more ladder per prime gives chi(p) and t
+together: with t = num/den and b = D*den^2, f = b^((p-3)/2) satisfies
+f*b = chi(p), den^2 being a square, and chi(p)*f*D*den = 1/den.  rank() runs
+the full order descent on the scalar chain.
 """
 
 from __future__ import annotations
@@ -83,11 +86,16 @@ def spf_sieve(limit: int) -> SpfTable:
         raise LimitError(f"sieve limit must be at least 2, got {limit}")
     if limit > SIEVE_CEILING:
         raise LimitError(f"sieve limit {limit} exceeds the ceiling {SIEVE_CEILING}")
+    root = math.isqrt(limit)
+    small = np.ones(root + 1, dtype=bool)
+    small[:2] = False
+    for p in range(2, math.isqrt(root) + 1):
+        if small[p]:
+            small[p * p :: p] = False
     spf = np.zeros(limit + 1, dtype=np.int32)
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            window = spf[p * p :: p]
-            window[window == 0] = p
+    # largest first, so each composite keeps the last, smallest, prime written
+    for p in np.flatnonzero(small)[::-1].tolist():
+        spf[p * p :: p] = p
     # untouched entries >= 2 have no factor below their square root: primes
     primes = np.flatnonzero(spf == 0)[2:].astype(np.int64, copy=False)
     spf[primes] = primes
@@ -131,11 +139,15 @@ def _residues(n: int, p: np.ndarray) -> np.ndarray:
     return r if n >= 0 else (p - r) % p
 
 
+# The ladders select by arithmetic on the 0/1 bit: np.where costs more than an
+# int64 %.  Every product stays below p^2 < 2^56.
+
+
 def _pow_many(base: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
     """base^e mod p elementwise, with a separate exponent for every entry."""
     out = np.ones_like(p)
     for j in range(int(e.max()).bit_length()):
-        out = np.where(((e >> j) & 1).astype(bool), out * base % p, out)
+        out = out * (1 + ((e >> j) & 1) * (base - 1)) % p
         base = base * base % p
     return out
 
@@ -144,12 +156,24 @@ def _lucas_v_many(n: np.ndarray, t: np.ndarray, p: np.ndarray) -> np.ndarray:
     """lucas_v_mod elementwise over residues t, with a separate n for every entry."""
     v0, v1 = np.full_like(t, 2), t
     for j in range(int(n.max()).bit_length() - 1, -1, -1):
-        bit = ((n >> j) & 1).astype(bool)
+        bit = (n >> j) & 1
         cross = (v0 * v1 - t) % p
-        a = np.where(bit, v1, v0)
+        a = v0 + bit * (v1 - v0)
         square = (a * a - 2) % p
-        v0, v1 = np.where(bit, cross, square), np.where(bit, square, cross)
+        v0 = square + bit * (cross - square)
+        v1 = cross + square - v0
     return v0
+
+
+def _chi_and_trace(num: int, den: int, char_disc: int, p: np.ndarray) -> tuple:
+    """(chi(p), num/den mod p) for odd primes p prime to char_disc * den, by one ladder."""
+    den_r = _residues(den, p)
+    disc_den = _residues(char_disc, p) * den_r % p
+    b = disc_den * den_r % p
+    f = _pow_many(b, (p - 3) // 2, p)
+    chi = f * b % p  # 1 or p - 1
+    t = _residues(num, p) * chi % p * f % p * disc_den % p
+    return np.where(chi == 1, 1, -1), t
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +296,9 @@ def empirical_density(
         raise LucasDensityError(f"divisor must be positive, got {d}")
     if spf is None:
         spf = spf_sieve(max(x + 1, 4))
-    if x + 1 > spf.limit + 2:
-        raise LimitError(f"x = {x} beyond the sieve capacity {spf.limit}")
-    chain = _chain(target)
-    primes = spf.primes_up_to(min(x, spf.limit))
+    primes = spf.primes_up_to(x)  # LimitError for any x past the sieve
     primes = primes[primes > 2]
+    chain = _chain(target)
     primes = primes[~np.isin(primes, [q for q in chain.excluded if q <= x])]
     powers = [(q, q**k) for q, k in factorize(d).pairs]
     trace = chain.trace
@@ -285,10 +307,7 @@ def empirical_density(
     rows: Optional[list] = [] if dump_path is not None else None
     for lo in range(0, len(primes), CHUNK):
         p = primes[lo : lo + CHUNK]
-        t = _residues(trace.numerator, p)
-        t = t * _pow_many(_residues(trace.denominator, p), p - 2, p) % p
-        euler = _pow_many(_residues(chain.char_disc, p), (p - 1) // 2, p)
-        chi = np.where(euler == 1, 1, -1)
+        chi, t = _chi_and_trace(trace.numerator, trace.denominator, chain.char_disc, p)
         hit = _divisible(t, p - chi, p, powers)
         counted += int(hit.sum())
         plus += int((hit & (chi == 1)).sum())

@@ -456,8 +456,10 @@ def _support_exponents(x: QuadElem) -> list[int]:
 def power_index(gamma: QuadElem) -> PowerIndexData:
     """h(zeta) for all torsion zeta, and the data of the maximising twist."""
     disc = gamma.disc_k
-    assert qf_norm(gamma) == 1, "power index is only defined for norm-1 elements"
-    assert not is_torsion(gamma), "torsion inputs were excluded at context creation"
+    if qf_norm(gamma) != 1:
+        raise LucasDensityError(f"power index needs a norm-1 element, got {gamma}")
+    if is_torsion(gamma):
+        raise TorsionError(f"power index is undefined for the root of unity {gamma}")
     exps = _support_exponents(gamma)
     if exps:
         cap = math.gcd(*exps)
@@ -478,7 +480,11 @@ def power_index(gamma: QuadElem) -> PowerIndexData:
              if k and qf_pow(eps, k) in (gamma, -gamma)),
             None,
         )
-        assert k is not None, "norm-1 unit must be +- a power of the fundamental unit"
+        if k is None:
+            raise LucasDensityError(
+                f"the unit {gamma} is not +- a power of the fundamental unit of "
+                f"disc {disc}; disc_k may not be fundamental"
+            )
         cap = 2 * abs(k)
     units = torsion_units(disc)
     table: dict[int, int] = {}

@@ -14,6 +14,8 @@ from lucasdensity.errors import LimitError, LucasDensityError
 from lucasdensity.lucasrank import (
     EmpiricalReport,
     SpfTable,
+    _chain,
+    _chi_and_trace,
     empirical_density,
     lucas_v_mod,
     rank,
@@ -59,6 +61,15 @@ def test_spf_sampled_minimality(spf_small):
         p = int(spf_small.spf[n])
         assert n % p == 0
         assert all(n % q for q in range(2, min(p, 60)))
+
+
+@pytest.mark.parametrize("limit", [2, 3, 4, 8, 9, 24, 25, 26, 120, 121, 122, 5000])
+def test_spf_matches_naive_table(limit):
+    naive = [0, 0] + [next(q for q in range(2, n + 1) if n % q == 0)
+                      for n in range(2, limit + 1)]
+    table = spf_sieve(limit)
+    assert table.spf.tolist() == naive
+    assert table.primes.tolist() == [n for n in range(2, limit + 1) if naive[n] == n]
 
 
 def test_factor_distinct(spf_small):
@@ -298,6 +309,21 @@ def test_empirical_counter_matches_scalar_rank(spf_small):
     assert on_a1 >= 3
 
 
+def test_chi_and_trace_match_scalar(spf_small):
+    primes = spf_small.primes_up_to(100_000)[1:]
+    at_three = 0
+    for target in [make_context(1, -1)] + _differential_targets():
+        chain = _chain(target)
+        p = primes[~np.isin(primes, list(chain.excluded))]
+        num, den = chain.trace.numerator, chain.trace.denominator
+        chi, t = _chi_and_trace(num, den, chain.char_disc, p)
+        for q, c, r in zip(p.tolist(), chi.tolist(), t.tolist()):
+            assert c == jacobi(chain.char_disc % q, q), (str(target), q)
+            assert r == num * pow(den, -1, q) % q, (str(target), q)
+        at_three += int(p[0] == 3)  # the ladder's exponent (p - 3) / 2 is 0
+    assert at_three >= 3
+
+
 def test_empirical_large_coefficients_finish_quickly():
     t0 = time.perf_counter()
     rep = empirical_density(make_context(10**9 + 7, 10**9 + 9), 2, 10_000)
@@ -323,6 +349,10 @@ def test_empirical_csv_dump(tmp_path, spf_small):
 def test_empirical_rejects_capacity_overrun(spf_small):
     with pytest.raises(LimitError):
         empirical_density(make_context(1, -1), 2, 10**7, spf=spf_small)
+    # x = limit + 1 is prime here: counting only to the limit would drop it
+    with pytest.raises(LimitError):
+        empirical_density(make_context(1, -1), 2, 1009, spf=spf_sieve(1008))
+    assert empirical_density(make_context(1, -1), 2, 1009, spf=spf_sieve(1009)).eligible == 167
 
 
 def test_report_rejects_inconsistent_counts():

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lucasdensity.density import dispatch
 from lucasdensity.errors import (
     DiscMismatchError,
     DivisionByZeroError,
@@ -38,10 +39,14 @@ from lucasdensity.quadfield import (
 
 # run under python -O, which strips assert statements
 _OPTIMIZED_CHECK = """
-from lucasdensity import LucasDensityError, QuadElem, dispatch
-for disc in (7, 0, 9, 4):
+from fractions import Fraction
+from lucasdensity import LucasDensityError, QuadElem, dispatch, power_index
+calls = [lambda disc=disc: dispatch(QuadElem(disc, 1, 1), 2) for disc in (7, 0, 9, 4)]
+calls.append(lambda: power_index(QuadElem(5, 2, 0)))
+calls.append(lambda: dispatch(QuadElem(20, Fraction(-3, 2), Fraction(-1, 4)), 2))
+for call in calls:
     try:
-        dispatch(QuadElem(disc, 1, 1), 2)
+        call()
     except LucasDensityError as exc:
         print(type(exc).__name__, exc)
 """
@@ -59,7 +64,20 @@ def test_quad_elem_validation_survives_optimize_flag():
         "LucasDensityError not a discriminant: 0",
         "LucasDensityError square discriminant: 9",
         "LucasDensityError square discriminant: 4",
+        "LucasDensityError power index needs a norm-1 element, got 2+0*sqrt(5)",
+        "LucasDensityError the unit (-6-1*sqrt(20))/4 is not +- a power of the"
+        " fundamental unit of disc 20; disc_k may not be fundamental",
     ]
+
+
+def test_power_index_rejects_bad_inputs_with_typed_errors():
+    with pytest.raises(LucasDensityError, match=r"norm-1 element, got 2\+0\*sqrt\(5\)"):
+        power_index(QuadElem(5, F(2), F(0)))
+    with pytest.raises(TorsionError, match=r"sqrt\(-4\)"):
+        power_index(QuadElem(-4, F(0), F(1, 2)))  # i
+    # the Fibonacci root quotient written over 20 instead of the fundamental 5
+    with pytest.raises(LucasDensityError, match="may not be fundamental"):
+        dispatch(QuadElem(20, F(-3, 2), F(-1, 4)), 2)
 
 
 def test_quad_elem_ascii_form():
