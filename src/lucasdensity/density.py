@@ -99,11 +99,19 @@ class STerm:
     def __post_init__(self) -> None:
         for name in ("d", "e", "h", "nu"):
             val = getattr(self, name)
-            assert isinstance(val, int) and val >= 1, f"{name} must be a positive int"
-        assert isinstance(self.coefficient, Fraction) and isinstance(self.value, Fraction)
-        if not (divides_power_infinity(self.e, self.d) and divides_power_infinity(self.nu, self.d)):
-            assert self.value == 0, "support condition violated by a nonzero S value"
-        assert self.nu % gcd_power_infinity(self.h, self.nu) == 0, "S-term outside hypothesis"
+            if not isinstance(val, int) or val < 1:
+                raise LucasDensityError(f"STerm.{name} must be a positive int, got {val!r}")
+        for name in ("coefficient", "value"):
+            if not isinstance(getattr(self, name), Fraction):
+                raise LucasDensityError(f"STerm.{name} must be a Fraction, got {getattr(self, name)!r}")
+        if self.value and not (divides_power_infinity(self.e, self.d)
+                               and divides_power_infinity(self.nu, self.d)):
+            raise LucasDensityError(
+                f"STerm.value must be 0 off the support (d={self.d}, e={self.e}, nu={self.nu}),"
+                f" got {self.value}")
+        if self.nu % gcd_power_infinity(self.h, self.nu):
+            raise HypothesisError(f"STerm.nu={self.nu} is outside the hypothesis (h, nu^inf) | nu"
+                                  f" for h={self.h}")
 
     @property
     def contribution(self) -> Fraction:
@@ -118,8 +126,11 @@ class Interval:
     hi: Fraction
 
     def __post_init__(self) -> None:
-        assert isinstance(self.lo, Fraction) and isinstance(self.hi, Fraction)
-        assert self.lo <= self.hi, "empty interval"
+        for name in ("lo", "hi"):
+            if not isinstance(getattr(self, name), Fraction):
+                raise LucasDensityError(f"Interval.{name} must be a Fraction, got {getattr(self, name)!r}")
+        if self.lo > self.hi:
+            raise LucasDensityError(f"Interval.lo={self.lo} exceeds Interval.hi={self.hi}")
 
     def contains(self, x: Rat) -> bool:
         return self.lo <= x <= self.hi
@@ -140,12 +151,18 @@ class DensityResult:
     inputs_echo: dict
 
     def __post_init__(self) -> None:
-        assert 0 <= self.delta <= 1, "density out of range"
-        assert self.delta_plus >= 0 and self.delta_minus >= 0, "negative split density"
-        assert self.delta_plus + self.delta_minus == self.delta, "split does not sum"
-        assert sum((t.contribution for t in self.trace), Fraction(0)) == self.delta, (
-            "trace does not reproduce the density"
-        )
+        if not 0 <= self.delta <= 1:
+            raise LucasDensityError(f"DensityResult.delta={self.delta} is outside [0, 1]")
+        for name in ("delta_plus", "delta_minus"):
+            if getattr(self, name) < 0:
+                raise LucasDensityError(f"DensityResult.{name}={getattr(self, name)} is negative")
+        if self.delta_plus + self.delta_minus != self.delta:
+            raise LucasDensityError(
+                f"DensityResult.delta_plus + delta_minus = {self.delta_plus + self.delta_minus}"
+                f" differs from delta={self.delta}")
+        if sum((t.contribution for t in self.trace), Fraction(0)) != self.delta:
+            raise LucasDensityError(
+                f"DensityResult.trace does not reproduce delta={self.delta}")
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,10 @@ class DivisionByZeroError(LucasDensityError):
 
 
 class PrecisionExhaustedError(LucasDensityError):
-    """The numeric certification loop could not separate candidates (internal bug)."""
+    """No longer raised: n-th roots are found exactly, with no precision ladder.
+
+    Kept so that code importing it keeps working.
+    """
 
 
 class DegenerateError(LucasDensityError):

@@ -128,17 +128,45 @@ def _poly_discriminant(f: Sequence[int]) -> int:
     return res if (n * (n - 1) // 2) % 2 == 0 else -res
 
 
+def _eval(f: Sequence[int], x: int) -> int:
+    acc = 0
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
+
+
+def _root_floors(f: Sequence[int]) -> set[int]:
+    """A set of integers holding floor(r) for every real root r of f.
+
+    The floors of the roots of f' cut the line into integer intervals on which
+    f is monotone; integer bisection inside the Cauchy bound finds the one sign
+    change each of them can hold.  Only exact integer evaluations decide.
+    """
+    if len(f) == 2:
+        return {-f[0] // f[1]}
+    crit = sorted(_root_floors([i * c for i, c in enumerate(f) if i]))
+    bound = max(abs(c) for c in f[:-1]) // abs(f[-1]) + 2
+    out = set(crit)
+    for lo, hi in zip([-bound] + [c + 1 for c in crit], crit + [bound]):
+        if lo > hi:
+            continue
+        s_lo, s_hi = _eval(f, lo) > 0, _eval(f, hi) > 0
+        if s_lo == s_hi:
+            out.update(m for m in (lo, hi) if _eval(f, m) == 0)
+            continue
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if (_eval(f, mid) > 0) == s_lo:
+                lo = mid
+            else:
+                hi = mid
+        out.update((lo, hi))
+    return out
+
+
 def _has_rational_root(f: Sequence[int]) -> bool:
-    if f[0] == 0:
-        return True
-    for d in divisors(f[0]):
-        for r in (d, -d):
-            acc = 0
-            for c in reversed(f):
-                acc = acc * r + c
-            if acc == 0:
-                return True
-    return False
+    # a rational root of a monic integer polynomial is an integer
+    return f[0] == 0 or any(_eval(f, m) == 0 for m in _root_floors(f))
 
 
 def _splits_into_quadratics(f: Sequence[int]) -> bool:

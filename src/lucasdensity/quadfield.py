@@ -2,26 +2,25 @@
 
 Elements are stored over the fundamental discriminant of their field.  On top
 of the field arithmetic this module builds the three nontrivial computations
-everything else depends on: exact n-th-power testing (floating candidates,
-exact certificates), fundamental units by continued fractions, and the power
-index of a norm-one element under all torsion twists.
+everything else depends on: exact n-th-power testing (p-adic candidates from
+Hensel lifting and rational reconstruction, exact certificates), fundamental
+units by continued fractions, and the power index of a norm-one element under
+all torsion twists.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
-
-import mpmath
 
 from .arith import divisors, is_probable_prime, jacobi, prime_factors, squarefree_kernel
 from .errors import (
     DiscMismatchError,
     DivisionByZeroError,
     LucasDensityError,
-    PrecisionExhaustedError,
     ReducibleError,
     TorsionError,
     ZeroParameterError,
@@ -97,14 +96,17 @@ def qf_inv(x: QuadElem) -> QuadElem:
 def qf_pow(x: QuadElem, k: int) -> QuadElem:
     if k < 0:
         return qf_pow(qf_inv(x), -k)
-    out = qf_one(x.disc_k)
-    base = x
+    # square and multiply on the integer coordinates of x = (a + b*sqrt(D))/c
+    c = math.lcm(x.u.denominator, x.v.denominator)
+    a, b, disc, den = int(x.u * c), int(x.v * c), x.disc_k, c ** k
+    ra, rb = 1, 0
     while k:
         if k & 1:
-            out = qf_mul(out, base)
-        base = qf_mul(base, base)
+            ra, rb = ra * a + disc * rb * b, ra * b + rb * a
         k >>= 1
-    return out
+        if k:
+            a, b = a * a + disc * b * b, 2 * a * b
+    return QuadElem(disc, Fraction(ra, den), Fraction(rb, den))
 
 
 def disc_and_scale(q: Fraction | int) -> tuple[int, Fraction]:
@@ -195,79 +197,189 @@ def make_context(a1: int, a2: int) -> SequenceContext:
 # n-th power testing
 # ---------------------------------------------------------------------------
 
-_DPS_LADDER = (60, 120, 240, 480)
-_REJECT = 0.01  # fast-path residual: beyond this, skip the exact check entirely
-
-_ESCALATE = object()
+_CANDIDATE_PRIMES = 4  # split primes compared when choosing the p-adic modulus
 
 
-def _mpf_to_fraction(x) -> Fraction:
-    sign, man, exp, _ = mpmath.mpf(x)._mpf_
-    if man == 0:
-        if x != 0:
-            raise PrecisionExhaustedError("nonfinite value during reconstruction")
-        return Fraction(0)
-    f = Fraction(man) * Fraction(2) ** exp
-    return -f if sign else f
+def _is_split(p: int, disc: int) -> bool:
+    if p == 2:
+        return disc % 8 == 1
+    return disc % p != 0 and jacobi(disc % p, p) == 1
 
 
-def _reconstruct(value, bound: int) -> tuple[Fraction, float]:
-    cand = _mpf_to_fraction(value).limit_denominator(bound)
-    residual = abs(mpmath.mpf(cand.numerator) / cand.denominator - value)
-    return cand, float(residual)
+def _sqrt_mod_prime(n: int, p: int) -> int:
+    """Tonelli-Shanks; assumes p odd prime and n a nonzero square mod p."""
+    n %= p
+    if p % 4 == 3:
+        return pow(n, (p + 1) // 4, p)
+    # write p-1 = q * 2^s with q odd
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while jacobi(z, p) != -1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    while t != 1:
+        t2, i = t, 0
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
 
 
-def _attempt_root(x: QuadElem, n: int, bound: int, dps: int):
-    """One precision level: a root, None (certified absent), or _ESCALATE."""
+def _lift_root(z: int, alpha: int, n: int, p: int, exp: int) -> int:
+    """Newton-lift z with z**n = alpha mod p to a root mod p**exp (p not dividing n*z)."""
+    steps = []
+    while exp > 1:
+        steps.append(exp)
+        exp = (exp + 1) // 2
+    for e in reversed(steps):
+        mod = p ** e
+        zn1 = pow(z, n - 1, mod)
+        z = (z - (zn1 * z - alpha) * pow(n * zn1, -1, mod)) % mod
+    return z
+
+
+def _sqrt_mod_prime_power(n: int, p: int, exp: int) -> int:
+    """r with r**2 = n mod p**exp, for p split (p odd, or p = 2 with n = 1 mod 8)."""
+    if p == 2:
+        assert n % 8 == 1, "2 must split"
+        r, k = 1, 3
+        while k < exp:
+            if (r * r - n) % (1 << (k + 1)):
+                r += 1 << (k - 1)
+            k += 1
+        return r % (1 << exp)
+    return _lift_root(_sqrt_mod_prime(n, p), n % p ** exp, 2, p, exp)
+
+
+def _iroot(m: int, n: int) -> int:
+    """floor(m ** (1/n)) for an integer m >= 0."""
+    if m < 2:
+        return m
+    z = 1 << -(-m.bit_length() // n)  # above the root
+    while True:
+        w = ((n - 1) * z + m // z ** (n - 1)) // n
+        if w >= z:
+            return z
+        z = w
+
+
+def _rational_root(q: Fraction, n: int) -> Optional[Fraction]:
+    """The real r with r**n == q when it is rational (r > 0 for even n), else None."""
+    num, den = _iroot(abs(q.numerator), n), _iroot(q.denominator, n)
+    if num ** n != abs(q.numerator) or den ** n != q.denominator or (q < 0 and n % 2 == 0):
+        return None
+    return Fraction(-num if q < 0 else num, den)
+
+
+def _choose_prime(disc: int, n: int, excluded: int) -> tuple[int, int, int]:
+    """(p, g, sylow): a split odd prime p not dividing ``excluded``, with
+    g = gcd(n, p-1) as small as the first few candidates allow, and sylow the
+    part of p-1 built from the primes of n."""
+    floor = math.gcd(n, 4 if disc == -4 else 6 if disc == -3 else 2)
+    best, seen = None, 0
+    for p in filter(is_probable_prime, itertools.count(3, 2)):
+        if excluded % p == 0 or not _is_split(p, disc):
+            continue
+        rest = p - 1
+        while (t := math.gcd(n, rest)) > 1:
+            rest //= t
+        g, sylow = math.gcd(n, p - 1), (p - 1) // rest
+        if best is None or (g, sylow) < best[1:]:
+            best = (p, g, sylow)
+        seen += 1
+        if g == floor or seen == _CANDIDATE_PRIMES:
+            return best
+
+
+def _roots_mod_prime(alpha: int, n: int, p: int, sylow: int) -> list[int]:
+    """Every z with z**n = alpha mod p, for an alpha that has one.
+
+    F_p^* is the product of its subgroup S of order ``sylow`` (the primes of n)
+    and a complement R of order r prime to n.  On R the n-th root is unique; on
+    the cyclic S it comes from a discrete log, which takes at most ``sylow`` steps.
+    """
+    r = (p - 1) // sylow
+    qs = prime_factors(sylow)
+    gen = next(c for c in (pow(h, r, p) for h in range(2, p))
+               if all(pow(c, sylow // q, p) != 1 for q in qs))
+    z_r = pow(pow(alpha, sylow * pow(sylow, -1, r), p), pow(n, -1, r), p)
+    alpha_s, acc, j = pow(alpha, r * pow(r, -1, sylow), p), 1, 0
+    while acc != alpha_s:
+        acc, j = acc * gen % p, j + 1
+    g = math.gcd(n, sylow)
+    step = sylow // g
+    i0 = j // g * pow(n // g, -1, step) % step
+    return [z_r * pow(gen, i0 + t * step, p) % p for t in range(g)]
+
+
+def _rational_reconstruct(a: int, mod: int, num_bound: int, den_bound: int) -> Optional[Fraction]:
+    """The unique r/t = a mod ``mod`` with |r| <= num_bound and 0 < t <= den_bound,
+    when 2*num_bound*den_bound < mod; None if there is none."""
+    r0, r1, t0, t1 = mod, a % mod, 0, 1
+    while r1 > num_bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > den_bound or math.gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _sigma1_positive(y: QuadElem) -> bool:
+    """Exact sign of u + v*sqrt(D) for a nonzero y of a real field."""
+    u, v = y.u, y.v
+    if u * v >= 0:
+        return u + v > 0
+    return (u * u > y.disc_k * v * v) == (u > 0)
+
+
+def _angle(x: QuadElem) -> float:
+    """arg of x in (-pi, pi] for an imaginary field, with no float overflow."""
+    c = math.lcm(x.u.denominator, x.v.denominator)
+    a, b = int(x.u * c), int(x.v * c)
+    shift = max(0, max(abs(a), abs(b)).bit_length() - 64)
+    # >> rounds toward -inf, so a negative b stays negative and v = 0 gives +0.0
+    return math.atan2((b >> shift) * math.sqrt(-x.disc_k), a >> shift)
+
+
+def _rotation_index(y: QuadElem, x: QuadElem, n: int) -> int:
+    """k in [0, n) with arg(y) = (Arg(x) + 2*pi*k)/n mod 2*pi, for y**n == x."""
+    turns = (n * _angle(y) - _angle(x)) / (2 * math.pi)
+    k = round(turns)
+    if abs(turns - k) > 0.25:
+        raise LucasDensityError(f"cannot place the {n}-th root {y} of {x} on the circle")
+    return k % n
+
+
+def _preferred_root(y: QuadElem, x: QuadElem, n: int) -> QuadElem:
+    """The root of x that the principal-root convention picks among y*zeta, zeta**n = 1.
+
+    Real fields: the root with u + v*sqrt(D) > 0.  Imaginary fields: the first
+    root met rotating from the principal root, whose argument is Arg(x)/n.
+    """
     disc = x.disc_k
-    with mpmath.workdps(dps):
-        # float error must stay far below the spacing ~1/bound^2 of candidate
-        # rationals, otherwise "closest candidate" is not trustworthy
-        err_gate = mpmath.mpf(10) ** (12 - dps)
-        if disc > 0:
-            w = mpmath.sqrt(disc)
-            s1 = x.u.numerator / mpmath.mpf(x.u.denominator) + x.v.numerator / mpmath.mpf(x.v.denominator) * w
-            s2 = 2 * x.u.numerator / mpmath.mpf(x.u.denominator) - s1
-            if err_gate * (1 + abs(s1) + abs(s2)) > mpmath.mpf(1) / (4 * bound * bound):
-                return _ESCALATE
-            if n % 2 == 0 and (s1 < 0 or s2 < 0):
-                return None  # even powers are totally positive
-            r1 = mpmath.root(s1, n) if s1 >= 0 else -mpmath.root(-s1, n)
-            r2 = mpmath.root(s2, n) if s2 >= 0 else -mpmath.root(-s2, n)
-            pairs = [(r1, r2)] if n % 2 else [(r1, r2), (r1, -r2)]
-            coords = [((t1 + t2) / 2, (t1 - t2) / (2 * w)) for t1, t2 in pairs]
-        else:
-            w = mpmath.sqrt(-disc)
-            target = mpmath.mpc(
-                x.u.numerator / mpmath.mpf(x.u.denominator),
-                x.v.numerator / mpmath.mpf(x.v.denominator) * w,
-            )
-            if err_gate * (1 + abs(target)) > mpmath.mpf(1) / (4 * bound * bound):
-                return _ESCALATE
-            r = target ** (mpmath.mpf(1) / n)
-            coords = []
-            for k in range(n):
-                cand = r * mpmath.expjpi(mpmath.mpf(2 * k) / n)
-                coords.append((cand.real, cand.imag / w))
-        for cu_f, cv_f in coords:
-            cu, res_u = _reconstruct(cu_f, bound)
-            cv, res_v = _reconstruct(cv_f, bound)
-            if max(res_u, res_v) > _REJECT:
-                continue  # nowhere near a bounded-denominator rational
-            y = QuadElem(disc, cu, cv)
-            # the norm test is cheap and rejects most wrong candidates
-            if qf_norm(y) ** n == qf_norm(x) and qf_pow(y, n) == x:
-                return y
-            # the closest admissible rational fails the exact certificate,
-            # so this twist carries no root at all
-    return None
+    if disc > 0:
+        return y if n % 2 or _sigma1_positive(y) else -y
+    nmu = 4 if disc == -4 else 6 if disc == -3 else 2
+    m = math.gcd(n, nmu)  # the roots are y * zeta**(t*nmu/m), t < m, zeta = e^(2*pi*i/nmu)
+    # each step of t moves the rotation index by n/m; step back to the smallest
+    t = -(_rotation_index(y, x, n) // (n // m)) % m
+    if t == 0:
+        return y
+    return -y if 2 * t == m else qf_mul(torsion_units(disc)[t * nmu // m], y)
 
 
 def is_nth_power(x: QuadElem, n: int) -> Optional[QuadElem]:
     """Some y with y**n == x exactly, or None if x is not an n-th power in K.
 
-    Floating point only ever proposes candidates; acceptance is by exact
-    re-powering and absence by exhausting every root-of-unity twist.
+    A split prime p proposes: x has no n-th root in F_p under either embedding
+    (a certified None), or the roots mod p are Hensel-lifted to p**k and read
+    back as rationals.  Acceptance is by exact re-powering.  Which root comes
+    back is fixed by _preferred_root.
     """
     if n < 1:
         raise LucasDensityError(f"is_nth_power needs n >= 1, got {n}")
@@ -275,12 +387,47 @@ def is_nth_power(x: QuadElem, n: int) -> Optional[QuadElem]:
         raise LucasDensityError("is_nth_power(0, n) is not meaningful here")
     if n == 1:
         return x
-    bound = 2 * x.u.denominator * x.v.denominator * abs(x.disc_k)
-    for dps in _DPS_LADDER:
-        outcome = _attempt_root(x, n, bound, dps)
-        if outcome is not _ESCALATE:
-            return outcome
-    raise PrecisionExhaustedError(f"root certification for n={n} did not converge")
+    disc, norm = x.disc_k, qf_norm(x)
+    if disc > 0 and n % 2 == 0 and (norm < 0 or x.u < 0):
+        return None  # even powers are totally positive
+    du, dv = x.u.denominator, x.v.denominator
+    p, g, sylow = _choose_prime(disc, n, 2 * n * disc * du * dv * norm.numerator)
+    s = _sqrt_mod_prime(disc, p)
+    u_p = x.u.numerator * pow(du, -1, p)
+    v_p = x.v.numerator * pow(dv, -1, p) * s
+    alpha = (u_p + v_p) % p
+    if any(pow(a, (p - 1) // g, p) != 1 for a in (alpha, (u_p - v_p) % p)):
+        return None  # no n-th root in F_p under one embedding
+    norm_root = _rational_root(norm, n)
+    if norm_root is None:
+        return None  # N(y)**n == N(x) has no rational solution
+    # |u_y|, |v_y| <= max |sigma(y)| <= H and their denominators are <= B
+    den_bound = 2 * du * dv * abs(disc)
+    height = -(-(abs(x.u.numerator) * dv + abs(x.v.numerator) * du * (math.isqrt(abs(disc)) + 1))
+               // (du * dv))
+    num_bound = (_iroot(height, n) + 1) * den_bound
+    k, mod = 1, p
+    while mod <= 2 * num_bound * den_bound:
+        k, mod = k + 1, mod * p
+    s = _sqrt_mod_prime_power(disc, p, k)  # lifts the same square root mod p
+    alpha = (x.u.numerator * pow(du, -1, mod) + x.v.numerator * pow(dv, -1, mod) * s) % mod
+    half, half_s = pow(2, -1, mod), pow(2 * s, -1, mod)
+    norms = (norm_root, -norm_root) if disc > 0 and n % 2 == 0 else (norm_root,)
+    norms_mod = [nr.numerator * pow(nr.denominator, -1, mod) % mod for nr in norms]
+    for z in _roots_mod_prime(alpha % p, n, p, sylow):
+        y1 = _lift_root(z, alpha, n, p, k)
+        y1_inv = pow(y1, -1, mod)
+        for nm in norms_mod:
+            y2 = nm * y1_inv
+            cu = _rational_reconstruct((y1 + y2) * half, mod, num_bound, den_bound)
+            cv = _rational_reconstruct((y1 - y2) * half_s, mod, num_bound, den_bound)
+            if cu is None or cv is None:
+                continue
+            y = QuadElem(disc, cu, cv)
+            # the norm test is cheap and rejects most wrong candidates
+            if qf_norm(y) ** n == norm and qf_pow(y, n) == x:
+                return _preferred_root(y, x, n)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -368,56 +515,6 @@ def _tie_break_order(nmu: int) -> tuple[int, ...]:
     return (0, 3, 2, 4, 1, 5)
 
 
-def _is_split(p: int, disc: int) -> bool:
-    if p == 2:
-        return disc % 8 == 1
-    return disc % p != 0 and jacobi(disc % p, p) == 1
-
-
-def _sqrt_mod_prime(n: int, p: int) -> int:
-    """Tonelli-Shanks; assumes p odd prime and n a nonzero square mod p."""
-    n %= p
-    if p % 4 == 3:
-        return pow(n, (p + 1) // 4, p)
-    # write p-1 = q * 2^s with q odd
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while jacobi(z, p) != -1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
-    while t != 1:
-        t2, i = t, 0
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
-    return r
-
-
-def _sqrt_mod_prime_power(n: int, p: int, exp: int) -> int:
-    """r with r**2 = n mod p**exp, for p split (p odd, or p = 2 with n = 1 mod 8)."""
-    if p == 2:
-        assert n % 8 == 1, "2 must split"
-        r, k = 1, 3
-        while k < exp:
-            if (r * r - n) % (1 << (k + 1)):
-                r += 1 << (k - 1)
-            k += 1
-        return r % (1 << exp)
-    r = _sqrt_mod_prime(n, p)
-    k = 1
-    while k < exp:
-        k = min(2 * k, exp)
-        mod = p ** k
-        inv = pow(2 * r % mod, -1, mod)
-        r = (r - (r * r - n) * inv) % mod
-    return r
-
-
 def _padic_valuation(n: int, p: int) -> int:
     assert n != 0
     v = 0
@@ -453,6 +550,19 @@ def _support_exponents(x: QuadElem) -> list[int]:
     return out
 
 
+def _log_sigma1(unit: QuadElem) -> float:
+    """log|u + v*sqrt(D)| for a unit of a real field, from its larger conjugate.
+
+    |u| + |v|*sqrt(D) has no cancellation; since the conjugates multiply to +-1,
+    sigma_1 is the larger one exactly when u and v have the same sign.
+    """
+    c = math.lcm(unit.u.denominator, unit.v.denominator)
+    a, b = abs(int(unit.u * c)), abs(int(unit.v * c))
+    scaled = (a << 64) + math.isqrt((b * b * unit.disc_k) << 128)  # 2^64*c*larger
+    log_larger = math.log(scaled) - 64 * math.log(2) - math.log(c)
+    return log_larger if (unit.u > 0) == (unit.v > 0) else -log_larger
+
+
 def power_index(gamma: QuadElem) -> PowerIndexData:
     """h(zeta) for all torsion zeta, and the data of the maximising twist."""
     disc = gamma.disc_k
@@ -468,13 +578,7 @@ def power_index(gamma: QuadElem) -> PowerIndexData:
         # the field is real and +-gamma is a power of the fundamental unit
         assert disc > 0, "unit branch reached with an imaginary discriminant"
         eps = fundamental_unit(disc)
-        with mpmath.workdps(60):
-            w = mpmath.sqrt(disc)
-            g1 = abs(gamma.u.numerator / mpmath.mpf(gamma.u.denominator)
-                     + gamma.v.numerator / mpmath.mpf(gamma.v.denominator) * w)
-            e1 = eps.u.numerator / mpmath.mpf(eps.u.denominator) \
-                + eps.v.numerator / mpmath.mpf(eps.v.denominator) * w
-            k0 = int(mpmath.nint(mpmath.log(g1) / mpmath.log(e1)))
+        k0 = round(_log_sigma1(gamma) / _log_sigma1(eps))
         k = next(
             (k for k in range(k0 - 2, k0 + 3)
              if k and qf_pow(eps, k) in (gamma, -gamma)),

@@ -317,7 +317,7 @@ def test_oracle_rejects_twisted_element_with_typed_error():
 
 
 def test_large_pair_finishes_quickly():
-    # bounded only because is_nth_power rejects wrong float candidates by
+    # bounded only because is_nth_power rejects wrong p-adic candidates by
     # their norm before it re-powers them exactly
     t0 = time.perf_counter()
     res = dispatch(make_context(7, 2**64), 8)

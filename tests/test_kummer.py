@@ -2,11 +2,12 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from lucasdensity.arith import euler_phi, factorize
+from lucasdensity.arith import divisors, euler_phi, factorize
 from lucasdensity.errors import (
     DegenerateError,
     LucasDensityError,
@@ -14,6 +15,7 @@ from lucasdensity.errors import (
     ShapeError,
 )
 from lucasdensity.kummer import (
+    _has_rational_root,
     cubic_conductor,
     kummer_degree,
     poly_field_disc,
@@ -210,6 +212,54 @@ def test_poly_field_disc_rejects_reducible():
                    [1, 0, 2, 0, 1], [4, 0, 0, 0, 1], [1, 1, 2, 1, 1], [6, 0, -5, 0, 1]):
         with pytest.raises(ReducibleError):
             poly_field_disc(coeffs)
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _divisor_search(f):
+    return f[0] == 0 or any(sum(c * r**i for i, c in enumerate(f)) == 0
+                            for d in divisors(f[0]) for r in (d, -d))
+
+
+def test_rational_root_test_matches_divisor_search():
+    rng = random.Random(11)
+    polys = []
+    for deg in (2, 3, 4):
+        for _ in range(60):
+            polys.append([rng.randint(-60, 60) for _ in range(deg)] + [1])
+            # planted integer roots: simple, adjacent, double, and with a monic cofactor
+            r = rng.randint(-40, 40)
+            cof = [rng.randint(-9, 9) for _ in range(deg - 1)] + [1]
+            polys.append(_poly_mul([-r, 1], cof))
+            if deg >= 3:
+                polys.append(_poly_mul(_poly_mul([-r, 1], [-r - 1, 1]), cof[1:]))
+                polys.append(_poly_mul(_poly_mul([-r, 1], [-r, 1]), cof[1:]))
+    planted = 0
+    for f in polys:
+        expected = _divisor_search(f)
+        assert _has_rational_root(f) == expected, f
+        planted += expected
+    assert planted >= 300
+    big = 2**80 + 7
+    assert _has_rational_root(_poly_mul([-big, 1], [1, 0, 1]))
+    assert _has_rational_root(_poly_mul([big, 1], [-big - 1, 1]))
+    assert not _has_rational_root(_poly_mul([-2, 0, 1], [big * big + 1, 0, 1]))
+
+
+def test_poly_field_disc_large_constant_term_is_quick():
+    # a cubic_conductor polynomial of a 7th power over Q(sqrt(-3)); enumerating
+    # the divisors of its 52-digit constant term took about 45 s
+    f = [-2938201594990690163854729250098422201045725639571347,
+         -40750470537297516539384636215004907, 0, 1]
+    t0 = time.perf_counter()
+    assert poly_field_disc(f) == 19326600817209 == 4396203**2
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_poly_field_disc_rejects_bad_shape():

@@ -1,4 +1,7 @@
+import hashlib
+import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -40,10 +43,14 @@ from lucasdensity.quadfield import (
 # run under python -O, which strips assert statements
 _OPTIMIZED_CHECK = """
 from fractions import Fraction
-from lucasdensity import LucasDensityError, QuadElem, dispatch, power_index
+from lucasdensity import (DensityResult, Interval, LucasDensityError, QuadElem, STerm,
+                          dispatch, power_index)
 calls = [lambda disc=disc: dispatch(QuadElem(disc, 1, 1), 2) for disc in (7, 0, 9, 4)]
 calls.append(lambda: power_index(QuadElem(5, 2, 0)))
 calls.append(lambda: dispatch(QuadElem(20, Fraction(-3, 2), Fraction(-1, 4)), 2))
+calls.append(lambda: STerm(2, 1, 1, 0, Fraction(1), Fraction(1)))
+calls.append(lambda: Interval(Fraction(1), Fraction(0)))
+calls.append(lambda: DensityResult(Fraction(2), Fraction(1), Fraction(1), "t", (), {}))
 for call in calls:
     try:
         call()
@@ -67,7 +74,22 @@ def test_quad_elem_validation_survives_optimize_flag():
         "LucasDensityError power index needs a norm-1 element, got 2+0*sqrt(5)",
         "LucasDensityError the unit (-6-1*sqrt(20))/4 is not +- a power of the"
         " fundamental unit of disc 20; disc_k may not be fundamental",
+        "LucasDensityError STerm.nu must be a positive int, got 0",
+        "LucasDensityError Interval.lo=1 exceeds Interval.hi=0",
+        "LucasDensityError DensityResult.delta=2 is outside [0, 1]",
     ]
+
+
+def test_import_does_not_load_mpmath():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, lucasdensity, lucasdensity.cli; print('mpmath' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_power_index_rejects_bad_inputs_with_typed_errors():
@@ -220,6 +242,94 @@ def test_is_nth_power_roundtrip(disc, u, v, n):
     y = is_nth_power(xn, n)
     assert y is not None
     assert qf_pow(y, n) == xn
+
+
+# Exact return values, not roots up to sign: sqrt_data reads the root's u, so
+# the root that comes back feeds every density downstream.  In real fields
+# with n even the root has u + v*sqrt(D) > 0; in imaginary fields it is the
+# first root met rotating from the principal root, arg(y) = Arg(x)/n.
+_PINNED_ROOTS = [
+    ((-4, -4, 0), 4, (-4, 1, F(1, 2))),  # 1 + i, not 1 - i
+    ((-4, -4, 0), 2, (-4, 0, 1)),
+    ((-4, F(-7, 25), F(-12, 25)), 2, (-4, F(3, 5), F(-2, 5))),
+    ((-3, -27, 0), 6, (-3, F(3, 2), F(1, 2))),
+    ((-3, -27, 0), 2, (-3, 0, 3)),
+    ((-3, -1, 0), 3, (-3, F(1, 2), F(1, 2))),
+    ((-3, -64, 0), 6, None),
+    ((-3, F(-1, 2), F(-1, 2)), 4, (-3, F(1, 2), F(1, 2))),
+    ((5, F(7, 2), F(3, 2)), 2, (5, F(3, 2), F(1, 2))),
+    ((5, F(7, 2), F(-3, 2)), 2, (5, F(3, 2), F(-1, 2))),
+    ((5, F(-11, 2), F(5, 2)), 5, (5, F(-1, 2), F(1, 2))),
+    ((8, 3, 1), 2, (8, 1, F(1, 2))),
+    ((8, 3, -1), 2, (8, -1, F(1, 2))),  # sqrt(2) - 1, not 1 - sqrt(2)
+    ((8, 17, -6), 4, (8, -1, F(1, 2))),
+    ((8, 2, 0), 2, (8, 0, F(1, 2))),  # sqrt(2), not -sqrt(2)
+    ((5, 25, 0), 4, (5, 0, 1)),
+    ((12, 3, 0), 2, (12, 0, F(1, 2))),
+    ((-3, -3, 0), 2, (-3, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("x,n,root", _PINNED_ROOTS)
+def test_is_nth_power_returns_the_pinned_root(x, n, root):
+    expected = None if root is None else QuadElem(*root)
+    assert is_nth_power(QuadElem(*x), n) == expected
+
+
+_ROOT_DISCS = (5, 8, 12, 29, 13 * 17, -4, -3, -15, -4 * 7 * 11)
+_ROOT_EXPONENTS = (2, 3, 4, 5, 6, 7, 8, 9, 12, 16)
+
+
+def _random_elem(rng, disc, bits):
+    den = rng.choice((1, 1, 2, 3, 6, 7, 10, 30))
+    a, b = rng.randint(-2**bits, 2**bits), rng.randint(-2**bits, 2**bits)
+    if disc % 4 == 1 and rng.random() < 0.5:
+        b += (a - b) % 2
+        den *= 2  # half-integer coordinates
+    if a == 0 and b == 0:
+        a = 1
+    return QuadElem(disc, F(a, den), F(b, den))
+
+
+def _root_corpus():
+    """(x, n) pairs: twisted n-th powers y^n*zeta and non-powers, at heights near
+    2^64 and beyond 2^1100, then units and negative rationals."""
+    rng = random.Random(6)
+    for disc in _ROOT_DISCS:
+        units = torsion_units(disc)
+        for n in _ROOT_EXPONENTS:
+            for height in (64, 1100):
+                y = _random_elem(rng, disc, height // n + 1)
+                for zeta in units:
+                    yield qf_mul(zeta, qf_pow(y, n)), n
+                yield _random_elem(rng, disc, height), n
+                yield qf_mul(qf_pow(y, n), _random_elem(rng, disc, 3)), n
+    for disc in (5, 8, 29, 13 * 17):  # the first three have a unit of norm -1
+        eps = fundamental_unit(disc)
+        for n in (2, 3, 4, 6):
+            for k in (n, 2 * n, n + 1, 3 * n):
+                yield qf_pow(eps, k), n
+                yield -qf_pow(eps, k), n
+    for disc in (-4, -3, -15, -4 * 7 * 11):  # Arg x = pi
+        for m in (1, 2, 3, 4, 27, 64, 3**12, 2**80):
+            for n in (2, 3, 4, 6, 12):
+                yield QuadElem(disc, F(-m), F(0)), n
+                yield QuadElem(disc, F(-m, 3**n), F(0)), n
+
+
+# sha256 of the lines below, recorded from the floating-point root finder that
+# the p-adic one replaced
+_ROOT_CORPUS_DIGEST = "bdbd8f4cda404707d5967bb3f6a70491a917826ab4225e9d8f81a0bdaad6a4c1"
+
+
+def test_is_nth_power_pinned_over_seeded_corpus():
+    lines = [f"{x.disc_k},{x.u},{x.v}|{n}|{is_nth_power(x, n)}" for x, n in _root_corpus()]
+    hits = sum(not line.endswith("|None") for line in lines)
+    # fundamental_unit's cube test on the units of Z[(1+sqrt(d))/2]
+    lines += [f"{disc}|{fundamental_unit(disc)}" for disc in range(5, 400, 4)
+              if all(disc % (q * q) for q in range(3, math.isqrt(disc) + 1, 2))]
+    assert (len(lines), hits) == (1367, 425)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _ROOT_CORPUS_DIGEST
 
 
 # ---------------------------------------------------------------------------
