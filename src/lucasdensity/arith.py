@@ -2,11 +2,15 @@
 
 Factorization, squarefree kernels, gcd-with-a-supernatural-power, divisor
 enumeration, multiplicative functions and Jacobi symbols.  Everything here is
-deterministic and pure; all results are exact.
+deterministic and pure; all results are exact.  `factorize` caches its
+_FACTOR_CACHE_SIZE most recently used results (a frozen Factorization is safe
+to share), so the divisor and multiplicative helpers built on it, and their
+callers, factor a recurring integer once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,6 +24,9 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                  59, 61, 67, 71, 73, 79, 83, 89, 97)
+
+# factorize results kept; the series oracle's integers d*v for one d fit many times over
+_FACTOR_CACHE_SIZE = 512
 
 
 @dataclass(frozen=True)
@@ -100,6 +107,7 @@ def _pollard_rho(n: int) -> int:
         # rare cycle degeneracy: retry with a new polynomial
 
 
+@functools.lru_cache(maxsize=_FACTOR_CACHE_SIZE)
 def factorize(n: int) -> Factorization:
     """Exact prime factorization of |n|; the sign is ignored.
 

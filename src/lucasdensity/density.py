@@ -276,24 +276,30 @@ def series_oracle(
     Exact partial sum over v | d^inf up to `cutoff`, plus a closed-form bound
     on the dropped tail coming from the uniform lower bound on the degrees
     [K_{dv,uv} : Q] >= phi(d) * v * uv / ((uv,h) * #mu(K) * 2).
+    The partial sums are exact integer numerators over a running lcm of the
+    denominators; each becomes a Fraction once, at the end.
     The element must be in normal form (see normal_form).
     """
     gamma = _gamma_of(target)
     _validate_positive(d=d, cutoff=cutoff)
     profile = kummer_profile(gamma)
     pix, sq, cond = profile.pix, profile.sqrt, profile.cond
-    sq_free = [(u, moebius(u)) for u in divisors(d) if moebius(u) != 0]
+    sq_free = [(u, mu) for u in divisors(d) if (mu := moebius(u))]
 
-    partial = Fraction(0)
-    t_part = Fraction(0)
+    num, den = 0, 1  # partial = num / den
+    t_num, t_den = 0, 1  # t_part = t_num / t_den
     for v in iter_smooth(d):
         if v > cutoff:
             break
-        t_part += Fraction(1, v * v)
+        step = math.lcm(t_den, v * v)
+        t_num, t_den = t_num * (step // t_den) + step // (v * v), step
         for u, mu in sq_free:
             deg = kummer_degree(d * v, u * v, pix, sq, cond)
             hit = 1 + (1 if sigma_exists(d * v, u * v, gamma.disc_k, pix, sq) else 0)
-            partial += Fraction(mu * hit, deg)
+            step = math.lcm(den, deg)
+            num, den = num * (step // den) + mu * hit * (step // deg), step
+    partial = Fraction(num, den)
+    t_part = Fraction(t_num, t_den)
 
     t_tot = Fraction(1)
     for p in prime_factors(d):

@@ -169,24 +169,30 @@ def _has_rational_root(f: Sequence[int]) -> bool:
     return f[0] == 0 or any(_eval(f, m) == 0 for m in _root_floors(f))
 
 
+def _is_square(n: int) -> bool:
+    return n >= 0 and math.isqrt(n) ** 2 == n
+
+
 def _splits_into_quadratics(f: Sequence[int]) -> bool:
-    # monic quartic = (x^2+ax+b)(x^2+cx+d) over Z, by Gauss's lemma
+    """Whether a monic integer quartic is a product of two integer quadratics.
+
+    By Gauss's lemma any rational split (x^2+ax+b)(x^2+cx+d) is integral, and
+    then y = b + d is an integer root of the resolvent cubic.  Each candidate
+    y fixes {b, d} as the roots of t^2 - y*t + a0 and {a, c} as those of
+    t^2 - a3*t + (a2 - y); a split is accepted only when the product is exact.
+    """
     a0, a1, a2, a3 = f[0], f[1], f[2], f[3]
-    for b in [d for d in divisors(a0)] + [-d for d in divisors(a0)]:
-        d, rem = divmod(a0, b)
-        if rem:
+    resolvent = [-(a1 * a1 + a0 * a3 * a3 - 4 * a0 * a2), a1 * a3 - 4 * a0, -a2, 1]
+    for y in _root_floors(resolvent):
+        disc_bd, disc_ac = y * y - 4 * a0, a3 * a3 - 4 * (a2 - y)
+        if not (_is_square(disc_bd) and _is_square(disc_ac)):
             continue
-        # a+c = a3, ac = a2-b-d, then check ad+bc = a1
-        s = a3 * a3 - 4 * (a2 - b - d)
-        if s < 0 or math.isqrt(s) ** 2 != s:
-            continue
-        r = math.isqrt(s)
-        for a_cand in {(a3 + r), (a3 - r)}:
-            if a_cand % 2:
-                continue
-            a = a_cand // 2
+        # both discriminants have the parity of y and a3 squared: halving is exact
+        b = (y + math.isqrt(disc_bd)) // 2
+        d = y - b
+        for a in {(a3 + math.isqrt(disc_ac)) // 2, (a3 - math.isqrt(disc_ac)) // 2}:
             c = a3 - a
-            if a * d + b * c == a1:
+            if (b * d, a * d + b * c, b + d + a * c, a + c) == (a0, a1, a2, a3):
                 return True
     return False
 
@@ -432,7 +438,7 @@ def quartic_conductor(root: QuadElem) -> ConductorData:
     poly = [-c / 4, Fraction(0), Fraction(-1), Fraction(0), Fraction(1)]
     disc_f = poly_field_disc(_integralize(poly))
     quotient, rem = divmod(disc_f, abs(data.delta2))
-    if rem or quotient <= 0 or math.isqrt(quotient) ** 2 != quotient:
+    if rem or quotient <= 0 or not _is_square(quotient):
         raise ShapeError(
             f"quartic field discriminant {disc_f} is incompatible with the "
             f"quadratic subfield discriminant {data.delta2}")
@@ -454,7 +460,7 @@ def cubic_conductor(root: QuadElem) -> ConductorData:
     two_u = 2 * root.u
     poly = [-two_u, Fraction(-3), Fraction(0), Fraction(1)]
     disc_f = poly_field_disc(_integralize(poly))
-    if disc_f <= 0 or math.isqrt(disc_f) ** 2 != disc_f:
+    if disc_f <= 0 or not _is_square(disc_f):
         raise ShapeError(f"cubic field discriminant {disc_f} is not a square: not cyclic")
     value = math.isqrt(disc_f)
     exponent, rest = _split_conductor(value, 3)

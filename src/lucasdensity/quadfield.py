@@ -147,31 +147,30 @@ class SequenceContext:
     gamma: QuadElem
 
 
+_HALF = Fraction(1, 2)
+
+# (u, v) of the consecutive powers of the generator: i for D = -4, the
+# primitive 6th root (1 + sqrt(-3))/2 for D = -3, -1 in every other field
+_TORSION_COORDS = {
+    -4: ((1, 0), (0, _HALF), (-1, 0), (0, -_HALF)),
+    -3: ((1, 0), (_HALF, _HALF), (-_HALF, _HALF), (-1, 0), (-_HALF, -_HALF), (_HALF, -_HALF)),
+}
+
+
 def torsion_units(disc_k: int) -> list[QuadElem]:
     """The roots of unity of Q(sqrt(disc_k)), as consecutive powers of a generator."""
-    if disc_k == -4:
-        gen = QuadElem(-4, Fraction(0), Fraction(1, 2))  # i
-    elif disc_k == -3:
-        gen = QuadElem(-3, Fraction(1, 2), Fraction(1, 2))  # primitive 6th root
-    else:
-        gen = QuadElem(disc_k, Fraction(-1), Fraction(0))
-    out = [qf_one(disc_k)]
-    while True:
-        nxt = qf_mul(out[-1], gen)
-        if nxt == out[0]:
-            return out
-        out.append(nxt)
+    coords = _TORSION_COORDS.get(disc_k, ((1, 0), (-1, 0)))
+    return [QuadElem(disc_k, Fraction(u), Fraction(v)) for u, v in coords]
 
 
 def is_torsion(x: QuadElem) -> bool:
-    """True when x is a root of unity (of order dividing 4 or 6, as in any quadratic field)."""
-    one = qf_one(x.disc_k)
-    y = x
-    for _ in range(6):
-        if y == one:
-            return True
-        y = qf_mul(y, x)
-    return False
+    """True when x is a root of unity.
+
+    By Kronecker, exactly when x is an algebraic integer whose conjugates all
+    have absolute value 1: N(x) = 1 with trace 2u an integer and |2u| <= 2.
+    """
+    trace = 2 * x.u
+    return trace.denominator == 1 and abs(trace) <= 2 and qf_norm(x) == 1
 
 
 def make_context(a1: int, a2: int) -> SequenceContext:

@@ -41,6 +41,20 @@ def test_factorize_large_semiprime():
     assert factorize(p * q).as_dict() == {p: 1, q: 1}
 
 
+def test_factorization_cache_is_bounded():
+    info = factorize.cache_info()
+    assert info.maxsize is not None and info.maxsize > 0
+    for n in range(10**6, 10**6 + info.maxsize + 50):
+        factorize(n)
+    assert factorize.cache_info().currsize <= info.maxsize
+    first = factorize(2**10 * 3**5 * 1000003)
+    assert factorize(2**10 * 3**5 * 1000003) == first
+    assert first.as_dict() == {2: 10, 3: 5, 1000003: 1}
+    for _ in range(3):  # a raised error is not cached: every call raises again
+        with pytest.raises(LucasDensityError):
+            factorize(0)
+
+
 @given(st.integers(min_value=1, max_value=10**9))
 def test_factorize_recomposes(n):
     fac = factorize(n)

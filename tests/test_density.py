@@ -1,5 +1,6 @@
 """Tests for the closed-form density layer: inner sums, case routing, tables."""
 
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -334,3 +335,19 @@ def test_oracle_narrow_on_trivial_divisor():
     box = series_oracle(gamma, 1, cutoff=100)
     assert box.contains(F(1))
     assert box.width() == 0  # no tail: the v-series over 1^inf is a single term
+
+
+# sha256 over repr(lo)|repr(hi) of every enclosure below, recorded from the
+# Fraction-accumulated oracle before its sums moved to integer numerators
+ORACLE_DIGEST = "64922225edf614a9374a6bc69551fd3052b8cf41de6989e2ba626f93ac0f36aa"
+
+
+def test_oracle_enclosures_pinned():
+    digest = hashlib.sha256()
+    for exp in REFERENCE_PROFILES:
+        norm = normal_form(exp.gamma)
+        for d in range(1, 61):
+            for cutoff in (100, 10_000):
+                box = series_oracle(norm, d, cutoff)
+                digest.update(f"{box.lo!r}|{box.hi!r}\n".encode())
+    assert digest.hexdigest() == ORACLE_DIGEST

@@ -16,6 +16,7 @@ from lucasdensity.errors import (
 )
 from lucasdensity.kummer import (
     _has_rational_root,
+    _splits_into_quadratics,
     cubic_conductor,
     kummer_degree,
     poly_field_disc,
@@ -250,6 +251,49 @@ def test_rational_root_test_matches_divisor_search():
     assert _has_rational_root(_poly_mul([-big, 1], [1, 0, 1]))
     assert _has_rational_root(_poly_mul([big, 1], [-big - 1, 1]))
     assert not _has_rational_root(_poly_mul([-2, 0, 1], [big * big + 1, 0, 1]))
+
+
+def _quadratic_divisor_search(f):
+    # the former split test: b over the +-divisors of a0, then a + c = a3,
+    # ac = a2 - b - d and ad + bc = a1
+    a0, a1, a2, a3 = f[0], f[1], f[2], f[3]
+    for b in divisors(a0) + [-q for q in divisors(a0)]:
+        d = a0 // b
+        s = a3 * a3 - 4 * (a2 - b - d)
+        if s < 0 or math.isqrt(s) ** 2 != s:
+            continue
+        for twice_a in (a3 + math.isqrt(s), a3 - math.isqrt(s)):
+            if twice_a % 2 == 0 and twice_a // 2 * d + b * (a3 - twice_a // 2) == a1:
+                return True
+    return False
+
+
+def test_quadratic_split_matches_divisor_search():
+    rng = random.Random(20261018)
+    planted = 0
+    for _ in range(20_000):
+        if rng.random() < 0.5:
+            f = [rng.randint(-60, 60) for _ in range(4)] + [1]
+        else:
+            g = [rng.randint(-30, 30), rng.randint(-30, 30), 1]
+            f = _poly_mul(g, [rng.randint(-30, 30), rng.randint(-30, 30), 1])
+        if f[0] == 0:
+            continue
+        expected = _quadratic_divisor_search(f)
+        assert _splits_into_quadratics(f) == expected, f
+        planted += expected
+    assert planted >= 9000
+
+
+def test_quadratic_split_with_two_large_prime_constants_is_quick():
+    # a0 is a product of two 25-digit primes: its divisors need a factorization
+    p, q = 1000000000000000000000007, 3000000000000000000000007
+    t0 = time.perf_counter()
+    assert _splits_into_quadratics(_poly_mul([p, 12345, 1], [q, -678, 1]))
+    assert not _splits_into_quadratics([p * q, 1, 0, 0, 1])
+    assert time.perf_counter() - t0 < 1.0
+    with pytest.raises(ReducibleError):
+        poly_field_disc(_poly_mul([p, 0, 1], [q, 1, 1]))
 
 
 def test_poly_field_disc_large_constant_term_is_quick():

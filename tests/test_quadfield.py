@@ -24,6 +24,7 @@ from lucasdensity.quadfield import (
     fundamental_unit,
     gamma_from_radicand,
     is_nth_power,
+    is_torsion,
     make_context,
     power_index,
     qf_conj,
@@ -203,6 +204,56 @@ def test_torsion_units_orders():
     z6 = torsion_units(-3)[1]
     assert qf_pow(z6, 6) == qf_one(-3)
     assert qf_pow(z6, 3) == -qf_one(-3)
+
+
+def loop_torsion_units(disc_k):
+    # the former construction: powers of i, (1 + sqrt(-3))/2 or -1 until 1 recurs
+    if disc_k == -4:
+        gen = QuadElem(-4, F(0), F(1, 2))
+    elif disc_k == -3:
+        gen = QuadElem(-3, F(1, 2), F(1, 2))
+    else:
+        gen = QuadElem(disc_k, F(-1), F(0))
+    out = [qf_one(disc_k)]
+    while (nxt := qf_mul(out[-1], gen)) != out[0]:
+        out.append(nxt)
+    return out
+
+
+def loop_is_torsion(x):
+    # the former test: x**k = 1 for some k <= 6
+    y = x
+    for _ in range(6):
+        if y == qf_one(x.disc_k):
+            return True
+        y = qf_mul(y, x)
+    return False
+
+
+TORSION_DISCS = (-4, -3, -7, -8, -15, -20, 5, 8, 12, 13, 21, 28)
+
+
+def _torsion_corpus():
+    for disc in TORSION_DISCS:
+        units = loop_torsion_units(disc)
+        yield from units  # every root of unity of -4 and -3, +-1 elsewhere
+        yield from (QuadElem(disc, F(0), F(0)), QuadElem(disc, F(1, 2), F(0)))
+        yield from (qf_mul(QuadElem(disc, F(1), F(1)), z) for z in units)  # norm != 1
+    rng = random.Random(20261018)
+    for _ in range(3000):
+        disc = rng.choice(TORSION_DISCS)
+        den = rng.choice((1, 2, 2, 3, 4))  # mostly integer and half-integer coordinates
+        yield QuadElem(disc, F(rng.randint(-4, 4), den), F(rng.randint(-4, 4), den))
+
+
+def test_torsion_matches_the_multiplication_loop():
+    for disc in TORSION_DISCS:
+        assert torsion_units(disc) == loop_torsion_units(disc), disc
+    hits = 0
+    for x in _torsion_corpus():
+        assert is_torsion(x) == loop_is_torsion(x), x
+        hits += loop_is_torsion(x)
+    assert hits > 100  # the seeded corpus reaches the roots of unity, not only the units
 
 
 # ---------------------------------------------------------------------------
