@@ -17,13 +17,10 @@ from .density import (
     series_oracle,
 )
 from .errors import (
-    LimitError,
     LucasDensityError,
     OracleMismatchError,
-    ReducibleError,
     TorsionError,
     UnreachableCaseError,
-    ZeroParameterError,
 )
 from .lucasrank import empirical_density, spf_sieve
 from .quadfield import (
@@ -417,13 +414,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (OracleMismatchError, UnreachableCaseError) as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except (
-        ReducibleError,
-        TorsionError,
-        ZeroParameterError,
-        LimitError,
-        LucasDensityError,
-    ) as exc:
+    except LucasDensityError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -51,8 +51,6 @@ from .quadfield import (
     SequenceContext,
     power_index,
     qf_conj,
-    qf_mul,
-    torsion_units,
 )
 
 Target = Union[SequenceContext, QuadElem]
@@ -446,11 +444,7 @@ def delta_eisen(d: int, profile: KummerProfile) -> DensityResult:
     return _from_terms(d, profile, rows, CASE_EISEN, echo)
 
 
-def delta_odd_generic(
-    d: int,
-    profile: KummerProfile,
-    oracle_cutoff: int = DEFAULT_ORACLE_CUTOFF,
-) -> DensityResult:
+def delta_odd_generic(d: int, profile: KummerProfile) -> DensityResult:
     """Odd d (coprime to 6 over the Eisenstein field); certified on every call."""
     disc = profile.gamma.disc_k
     coprime_to = 6 if disc == -3 else 2
@@ -462,7 +456,7 @@ def delta_odd_generic(
         e = _hat(disc, d)
         rows = [(1, 1, _HALF, _HALF), (e, 1, _HALF, _HALF if disc < 0 else -_HALF)]
     result = _from_terms(d, profile, rows, CASE_ODD_GENERIC, _echo_base(profile, e=e))
-    witness = series_oracle(profile.gamma, d, oracle_cutoff)
+    witness = series_oracle(profile.gamma, d)
     if not witness.contains(result.delta):
         raise OracleMismatchError(
             f"closed form {result.delta} escapes [{witness.lo}, {witness.hi}] "
@@ -499,12 +493,7 @@ def switch_minus_one(
     return _result(dplus, dminus, CASE_SWITCH, trace, echo)
 
 
-def delta_gauss_hi(
-    d: int,
-    twisted: QuadElem,
-    echo_extra: dict,
-    oracle_cutoff: int = DEFAULT_ORACLE_CUTOFF,
-) -> DensityResult:
+def delta_gauss_hi(d: int, twisted: QuadElem, echo_extra: dict) -> DensityResult:
     """Gaussian field with the power index attained at a primitive fourth root."""
     profile = kummer_profile(twisted)
     if twisted.disc_k != -4 or profile.h % 2 or profile.cond is None:
@@ -518,7 +507,7 @@ def delta_gauss_hi(
     m = int(8 * d_odd % abs(profile.sqrt.delta1) == 0) + int(
         16 * d_odd % profile.cond.value == 0
     )
-    inner = delta_odd_generic(d_odd, profile, oracle_cutoff)
+    inner = delta_odd_generic(d_odd, profile)
     if k == 0:
         factor = Fraction(1)
     elif k <= 2:
@@ -531,12 +520,7 @@ def delta_gauss_hi(
     return _result(half, half, CASE_GAUSS_HI, _scaled(inner, factor), echo)
 
 
-def delta_eisen_homega(
-    d: int,
-    twisted: QuadElem,
-    echo_extra: dict,
-    oracle_cutoff: int = DEFAULT_ORACLE_CUTOFF,
-) -> DensityResult:
+def delta_eisen_homega(d: int, twisted: QuadElem, echo_extra: dict) -> DensityResult:
     """Eisenstein field with the power index attained at a primitive cube root."""
     profile = kummer_profile(twisted)
     if twisted.disc_k != -3 or profile.h % 3 or profile.cond is None:
@@ -551,7 +535,7 @@ def delta_eisen_homega(
     if math.gcd(d_prime, 6) > 1:
         inner = delta_eisen(d_prime, profile)
     else:
-        inner = delta_odd_generic(d_prime, profile, oracle_cutoff)
+        inner = delta_odd_generic(d_prime, profile)
     if k == 0:
         factor = Fraction(1)
     elif k == 1:
@@ -575,21 +559,19 @@ def _trivial_one(pix: PowerIndexData, disc_k: int) -> DensityResult:
     return _result(Fraction(1, 2), Fraction(1, 2), CASE_ODD_GENERIC, trace, echo)
 
 
-def dispatch(
-    target: Target, d: int, oracle_cutoff: int = DEFAULT_ORACLE_CUTOFF
-) -> DensityResult:
+def dispatch(target: Target, d: int) -> DensityResult:
     """Route (gamma, d) to its case formula and return the certified result."""
     gamma = _gamma_of(target)
     _validate_positive(d=d)
     try:
-        return _dispatch(gamma, d, oracle_cutoff)
+        return _dispatch(gamma, d)
     except CaseError as exc:
         raise UnreachableCaseError(
             f"no applicable density case for {gamma}, d={d}: {exc}"
         ) from exc
 
 
-def _dispatch(gamma: QuadElem, d: int, oracle_cutoff: int) -> DensityResult:
+def _dispatch(gamma: QuadElem, d: int) -> DensityResult:
     pix = _pix(gamma)
     disc = gamma.disc_k
     j = pix.zeta_star_exp
@@ -600,13 +582,13 @@ def _dispatch(gamma: QuadElem, d: int, oracle_cutoff: int) -> DensityResult:
         if disc == -4:
             if d % 2 == 0:
                 return delta_gauss(d, profile)
-            return delta_odd_generic(d, profile, oracle_cutoff)
+            return delta_odd_generic(d, profile)
         if disc == -3:
             if math.gcd(d, 6) > 1:
                 return delta_eisen(d, profile)
-            return delta_odd_generic(d, profile, oracle_cutoff)
+            return delta_odd_generic(d, profile)
         if d % 2:
-            return delta_odd_generic(d, profile, oracle_cutoff)
+            return delta_odd_generic(d, profile)
         if profile.sqrt.q_flag:
             return delta_q1(d, profile)
         return delta_q0(d, profile)
@@ -615,44 +597,20 @@ def _dispatch(gamma: QuadElem, d: int, oracle_cutoff: int) -> DensityResult:
         # trivially every rank is divisible by 1; no normalization needed
         return _trivial_one(pix, disc)
 
-    if 2 * j == n_mu:  # twist by -1
-        minus = pix.gamma_tilde
+    order = n_mu // math.gcd(j, n_mu)
+    if order in (2, 6):  # -1 or a primitive sixth root: fold the sign into the switch
+        minus = -gamma
         echo = {"h": pix.h, "zeta_star": zeta_label(disc, j), "v2_split": d % 2 == 0 and d % 4 != 0}
-        return switch_minus_one(
-            d, lambda dd: _dispatch(minus, dd, oracle_cutoff), echo
-        )
+        return switch_minus_one(d, lambda dd: _dispatch(minus, dd), echo)
 
-    if disc == -4:  # twist by a primitive fourth root of unity
-        conjugated = j == 3
-        base = qf_conj(gamma) if conjugated else gamma
-        base_pix = _pix(base)
-        assert base_pix.zeta_star_exp == 1, "conjugation did not normalize the twist"
-        return delta_gauss_hi(
-            d,
-            base_pix.gamma_tilde,
-            {"source_zeta": zeta_label(disc, j), "conjugated": conjugated},
-            oracle_cutoff,
-        )
-
-    if disc == -3:
-        if j in (1, 5):  # primitive sixth root: fold the sign into the switch
-            minus = qf_mul(gamma, torsion_units(-3)[3])
-            echo = {"h": pix.h, "zeta_star": zeta_label(disc, j), "v2_split": d % 2 == 0 and d % 4 != 0}
-            return switch_minus_one(
-                d, lambda dd: _dispatch(minus, dd, oracle_cutoff), echo
-            )
-        conjugated = j == 4
-        base = qf_conj(gamma) if conjugated else gamma
-        base_pix = _pix(base)
-        assert base_pix.zeta_star_exp == 2, "conjugation did not normalize the twist"
-        return delta_eisen_homega(
-            d,
-            base_pix.gamma_tilde,
-            {"source_zeta": zeta_label(disc, j), "conjugated": conjugated},
-            oracle_cutoff,
-        )
-
-    raise CaseError(f"unhandled twist exponent {j} for disc {disc}")
+    # twist by a primitive fourth (Gaussian) or cube (Eisenstein) root of unity
+    conjugated = 2 * j > n_mu
+    base_pix = _pix(qf_conj(gamma) if conjugated else gamma)
+    if base_pix.zeta_star_exp != n_mu // order:
+        raise CaseError(f"conjugation did not normalize the twist exponent {j} for disc {disc}")
+    echo_extra = {"source_zeta": zeta_label(disc, j), "conjugated": conjugated}
+    hi_twist = delta_gauss_hi if disc == -4 else delta_eisen_homega
+    return hi_twist(d, base_pix.gamma_tilde, echo_extra)
 
 
 # ---------------------------------------------------------------------------

@@ -25,13 +25,6 @@ class DivisionByZeroError(LucasDensityError):
     """Inversion of the zero element."""
 
 
-class PrecisionExhaustedError(LucasDensityError):
-    """No longer raised: n-th roots are found exactly, with no precision ladder.
-
-    Kept so that code importing it keeps working.
-    """
-
-
 class DegenerateError(LucasDensityError):
     """Internal impossibility, e.g. c = 0 in the square-root data of a nontorsion element."""
 

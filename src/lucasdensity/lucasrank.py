@@ -9,12 +9,15 @@ V_n(t) = gamma^n + gamma^-n, and gamma^n = 1 exactly when V_n(t) = 2.  The
 order divides m = p - chi(p), with chi(p) the Legendre symbol (D/p) of the
 discriminant D, so d | rank(p) is decided without factoring m: for each
 q^k || d, q^k must divide m and gamma^m' must differ from 1, where m' is m with
-its q-part cut down to q^(k-1).  The counter runs those ladders across all
-primes at once in numpy int64, selecting each ladder step by arithmetic on the
-0/1 bit rather than np.where.  One more ladder per prime gives chi(p) and t
-together: with t = num/den and b = D*den^2, f = b^((p-3)/2) satisfies
-f*b = chi(p), den^2 being a square, and chi(p)*f*D*den = 1/den.  rank() runs
-the full order descent on the scalar chain.
+its q-part cut down to q^(k-1).  The counter therefore needs only the primes,
+from a sieve of Eratosthenes over the odd numbers, and runs those ladders
+across all of them at once in numpy int64, selecting each ladder step by
+arithmetic on the 0/1 bit rather than np.where.  One more ladder per prime
+gives chi(p) and t together: with t = num/den and b = D*den^2,
+f = b^((p-3)/2) satisfies f*b = chi(p), den^2 being a square, and
+chi(p)*f*D*den = 1/den.  rank() and the rank dump run the full order descent
+on the scalar chain, over the primes of m from arith.factorize, so they reach
+any prime.
 """
 
 from __future__ import annotations
@@ -28,16 +31,16 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .arith import factorize, jacobi
+from .arith import factorize, jacobi, prime_factors
 from .errors import LimitError, LucasDensityError
 from .quadfield import QuadElem, SequenceContext, qf_norm, qf_trace
 
 Target = Union[SequenceContext, QuadElem]
 
-# A full table for the deep 10^7 sweep is 40 MB of int32; anything past this
-# ceiling is almost certainly a mistyped limit rather than a real request.
-# It also keeps every prime below 2^28, so int64 never overflows in the
-# vectorised residues (r * 2^24 + limb) and ladders (a product of two residues).
+# A sieve past this ceiling is almost certainly a mistyped limit rather than a
+# real request.  It also keeps every prime below 2^28, so int64 never overflows
+# in the vectorised residues (r * 2^24 + limb) and ladders (a product of two
+# residues).
 SIEVE_CEILING = 200_000_000
 
 # Primes per vectorised pass: the temporaries stay a few MB whatever x is.
@@ -45,33 +48,16 @@ CHUNK = 1 << 14
 
 
 # ---------------------------------------------------------------------------
-# smallest-prime-factor sieve
+# prime sieve
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class SpfTable:
-    """Smallest-prime-factor table for 2..limit, with the primes in it ascending."""
+    """The primes in 2..limit, ascending, as a read-only int64 array."""
 
     limit: int
-    spf: np.ndarray
     primes: np.ndarray
-
-    def __post_init__(self) -> None:
-        assert len(self.spf) == self.limit + 1, "table must cover 0..limit"
-
-    def factor_distinct(self, n: int) -> list[int]:
-        """Distinct prime factors of 1 <= n <= limit, ascending."""
-        if not 1 <= n <= self.limit:
-            raise LimitError(f"{n} outside the sieved range 1..{self.limit}")
-        spf = self.spf
-        out: list[int] = []
-        while n > 1:
-            p = int(spf[n])
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        return out
 
     def primes_up_to(self, x: int) -> np.ndarray:
         """All primes <= x as a read-only int64 array."""
@@ -81,26 +67,19 @@ class SpfTable:
 
 
 def spf_sieve(limit: int) -> SpfTable:
-    """Sieve smallest prime factors for every integer in 2..limit."""
+    """Sieve of Eratosthenes over the odd numbers: every prime in 2..limit."""
     if limit < 2:
         raise LimitError(f"sieve limit must be at least 2, got {limit}")
     if limit > SIEVE_CEILING:
         raise LimitError(f"sieve limit {limit} exceeds the ceiling {SIEVE_CEILING}")
-    root = math.isqrt(limit)
-    small = np.ones(root + 1, dtype=bool)
-    small[:2] = False
-    for p in range(2, math.isqrt(root) + 1):
-        if small[p]:
-            small[p * p :: p] = False
-    spf = np.zeros(limit + 1, dtype=np.int32)
-    # largest first, so each composite keeps the last, smallest, prime written
-    for p in np.flatnonzero(small)[::-1].tolist():
-        spf[p * p :: p] = p
-    # untouched entries >= 2 have no factor below their square root: primes
-    primes = np.flatnonzero(spf == 0)[2:].astype(np.int64, copy=False)
-    spf[primes] = primes
+    odd = np.ones((limit + 1) // 2, dtype=bool)  # odd[i] stands for 2*i + 1
+    odd[0] = False
+    for p in range(3, math.isqrt(limit) + 1, 2):
+        if odd[p // 2]:
+            odd[p * p // 2 :: p] = False
+    primes = np.concatenate(([2], 2 * np.flatnonzero(odd) + 1)).astype(np.int64, copy=False)
     primes.flags.writeable = False  # primes_up_to hands out views of it
-    return SpfTable(limit=limit, spf=spf, primes=primes)
+    return SpfTable(limit=limit, primes=primes)
 
 
 # ---------------------------------------------------------------------------
@@ -204,26 +183,23 @@ def _chain(target: Target) -> _Chain:
     return _Chain(trace=qf_trace(gamma), char_disc=char_disc, excluded=excluded)
 
 
-def _order(p: int, m: int, trace: Fraction, spf: SpfTable) -> int:
+def _order(p: int, m: int, trace: Fraction) -> int:
     """Order of gamma above p, by descent from its multiple m = p - chi(p)."""
     order = m
-    for q in sorted({2, *spf.factor_distinct(m // 2)}):  # m is even; m // 2 <= limit
+    for q in prime_factors(m):
         while order % q == 0 and lucas_v_mod(order // q, p, trace) == 2:
             order //= q
     return order
 
 
-def rank(p: int, target: Target, spf: SpfTable) -> int:
+def rank(p: int, target: Target) -> int:
     """Least n >= 1 with p | U_n, equivalently the order of gamma above p."""
     if p < 3:
         raise LucasDensityError(f"rank needs an odd prime, got {p}")
     chain = _chain(target)
     if p in chain.excluded:
         raise LucasDensityError(f"p = {p} divides the excluded locus of the input")
-    m = p - jacobi(chain.char_disc % p, p)
-    if m > spf.limit + 1:
-        raise LimitError(f"p = {p} outside the sieve's factoring reach")
-    return _order(p, m, chain.trace, spf)
+    return _order(p, p - jacobi(chain.char_disc % p, p), chain.trace)
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +225,13 @@ class EmpiricalReport:
     reference_delta: Optional[Fraction] = None
 
     def __post_init__(self) -> None:
-        assert self.counted == self.counted_plus + self.counted_minus
-        assert 0 <= self.counted <= self.eligible
+        if self.counted != self.counted_plus + self.counted_minus:
+            raise LucasDensityError(
+                f"EmpiricalReport.counted={self.counted} differs from counted_plus"
+                f" + counted_minus = {self.counted_plus + self.counted_minus}")
+        if not 0 <= self.counted <= self.eligible:
+            raise LucasDensityError(
+                f"EmpiricalReport.counted={self.counted} is outside [0, eligible={self.eligible}]")
 
     @property
     def deviation(self) -> Optional[Fraction]:
@@ -283,12 +264,10 @@ def empirical_density(
     x: int,
     spf: Optional[SpfTable] = None,
     reference: Optional[Fraction] = None,
-    threads: int = 1,
     dump_path: Optional[str] = None,
 ) -> EmpiricalReport:
     """Count primes p <= x with d | rank(p), split by the character of p.
 
-    ``threads`` is deprecated and ignored: the count is one vectorised pass.
     ``dump_path`` also writes a ``p,rank,jacobi,divisible`` CSV, with each
     rank found by the scalar descent that rank() uses.
     """
@@ -313,7 +292,7 @@ def empirical_density(
         plus += int((hit & (chi == 1)).sum())
         if rows is not None:
             for q, side in zip(p.tolist(), chi.tolist()):
-                r = _order(q, q - side, trace, spf)
+                r = _order(q, q - side, trace)
                 rows.append((q, r, side, int(r % d == 0)))
     eligible = len(primes)
     minus = counted - plus

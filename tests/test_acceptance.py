@@ -198,7 +198,7 @@ def test_criterion_6_empirical_gate_at_one_million(spf_million):
         delta = row.delta
         report = empirical_density(
             row.gamma, row.d, 1_000_000, spf=spf_million,
-            reference=delta, threads=4,
+            reference=delta,
         )
         counts = (report.counted, report.counted_plus, report.counted_minus,
                   report.eligible)
@@ -240,7 +240,7 @@ def test_criterion_6_optional_ten_million_sweep():
     for row, expected in zip(REFERENCE_ROWS, MEASURED_REFERENCE_RATIOS):
         report = empirical_density(
             row.gamma, row.d, 10_000_000, spf=spf,
-            reference=row.delta, threads=4,
+            reference=row.delta,
         )
         gap = abs(float(report.ratio) - expected)
         print(f"  x=10^7 {row.gamma} d={row.d}: ratio {float(report.ratio):.6f} "
@@ -309,7 +309,7 @@ def test_criterion_8_rank_correctness(spf_million):
         excluded = 2 * abs(a2) * abs(ctx.delta)
         small = [int(p) for p in spf_million.primes_up_to(1000) if excluded % p]
         for p in small:
-            got = rank(p, ctx, spf_million)
+            got = rank(p, ctx)
             naive = naive_rank(p, a1, a2)
             if got != naive:
                 problems.append(("naive", (a1, a2), p, got, naive))
@@ -317,7 +317,7 @@ def test_criterion_8_rank_correctness(spf_million):
             p = int(p)
             if excluded % p == 0:
                 continue
-            r = rank(p, ctx, spf_million)
+            r = rank(p, ctx)
             if (p - jacobi(ctx.delta % p, p)) % r:
                 problems.append(("divisibility", (a1, a2), p, r))
     _report(

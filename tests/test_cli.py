@@ -1,5 +1,6 @@
 """Golden tests for the command-line interface."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -237,6 +238,25 @@ def test_verify_dump_ranks(tmp_path, capsys):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "p,rank,jacobi,divisible"
     assert len(lines) > 100
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("--a1", "1", "--a2", "-1", "--d", "2"),
+     "c82cbe2e79f4f6e06ee5d69bd6ae9f15366e48163487cd285e330a230c982b4a"),
+    (("--gamma", "48/50", "7/50", "--radicand", "-4", "--d", "10"),
+     "31481002fb1a5150b5ae530b12b24c2a3f823c784d9b7787bdac14dc40ac284d"),
+    (("--gamma", "-13/14", "3/14", "--radicand", "-3", "--d", "14"),
+     "76db63b2e6ee5e21597c269e4cb8c0a9a9b51f7a6fba8c466856bc95b5f12f01"),
+])
+def test_verify_dump_ranks_pinned(tmp_path, capsys, argv, digest):
+    # recorded from the smallest-prime-factor descent, before rank() factored
+    # with arith.factorize: every byte of the CSV must stay the same
+    path = tmp_path / "dump.csv"
+    code, _, _ = run_cli(
+        capsys, "verify", *argv, "--limit", "2000", "--dump-ranks", str(path)
+    )
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_verify_strict_on_passing_run(capsys):

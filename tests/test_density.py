@@ -39,6 +39,7 @@ from lucasdensity.quadfield import (
     qf_conj,
     qf_inv,
     qf_mul,
+    qf_pow,
     torsion_units,
 )
 
@@ -47,6 +48,7 @@ def qf_neg(x: QuadElem) -> QuadElem:
     return QuadElem(x.disc_k, -x.u, -x.v)
 
 from oracles import brute_s_sum
+from test_golden import _canonical
 
 F = Fraction
 
@@ -351,3 +353,22 @@ def test_oracle_enclosures_pinned():
                 box = series_oracle(norm, d, cutoff)
                 digest.update(f"{box.lo!r}|{box.hi!r}\n".encode())
     assert digest.hexdigest() == ORACLE_DIGEST
+
+
+# sha256 over test_golden._canonical for d in 1..60 of four Eisenstein elements
+# whose power index is attained only at a primitive sixth root of unity (no
+# golden element is), recorded before that twist shared the -1 branch
+SIXTH_ROOT_DIGEST = "ac053f9f5105c5a68d2a3633f367e7f4e4a43826ed61f7cf9a08bf2870fe28df"
+
+
+def test_sixth_root_twists_pinned():
+    units = torsion_units(-3)
+    lines = []
+    for beta in (QuadElem(-3, F(-13, 14), F(3, 14)), QuadElem(-3, F(13, 37), F(20, 37))):
+        for k, j in ((5, 1), (1, 5)):
+            gamma = qf_mul(units[k], qf_pow(beta, 6))  # zeta^j * gamma = beta^6
+            pix = power_index(gamma)
+            assert (pix.h, pix.zeta_star_exp) == (6, j)
+            lines += [_canonical(gamma, d) for d in range(1, 61)]
+    assert sum("SWITCH_MINUS1" in line for line in lines) == 236  # all but d = 1
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SIXTH_ROOT_DIGEST

@@ -1,6 +1,7 @@
 """Tests for the sieve, the fast rank computation, and empirical counts."""
 
 import csv
+import math
 import random
 import time
 from fractions import Fraction
@@ -13,7 +14,6 @@ from lucasdensity.density import REFERENCE_PROFILES
 from lucasdensity.errors import LimitError, LucasDensityError
 from lucasdensity.lucasrank import (
     EmpiricalReport,
-    SpfTable,
     _chain,
     _chi_and_trace,
     empirical_density,
@@ -36,15 +36,23 @@ def spf_small():
 # ---------------------------------------------------------------------------
 
 
+def _naive_primes(limit):
+    return [n for n in range(2, limit + 1) if all(n % q for q in range(2, math.isqrt(n) + 1))]
+
+
 def test_spf_first_values():
     table = spf_sieve(10)
-    assert table.spf[2:].tolist() == [2, 3, 2, 5, 2, 7, 2, 3, 2]
+    assert table.limit == 10
+    assert table.primes.tolist() == [2, 3, 5, 7]
+    assert table.primes.dtype == np.int64
+    assert not table.primes.flags.writeable
 
 
 def test_spf_large_prime_and_even():
-    table = spf_sieve(10_000_000)
-    assert int(table.spf[9_999_991]) == 9_999_991
-    assert int(table.spf[10**6]) == 2
+    primes = spf_sieve(10_000_000).primes
+    assert primes[np.searchsorted(primes, 9_999_991)] == 9_999_991
+    assert primes[np.searchsorted(primes, 10**6)] != 10**6
+    assert len(primes) == 664_579
 
 
 def test_spf_rejects_bad_limits():
@@ -54,30 +62,9 @@ def test_spf_rejects_bad_limits():
         spf_sieve(300_000_000)
 
 
-def test_spf_sampled_minimality(spf_small):
-    rng = random.Random(11)
-    for _ in range(300):
-        n = rng.randint(2, 120_000)
-        p = int(spf_small.spf[n])
-        assert n % p == 0
-        assert all(n % q for q in range(2, min(p, 60)))
-
-
 @pytest.mark.parametrize("limit", [2, 3, 4, 8, 9, 24, 25, 26, 120, 121, 122, 5000])
 def test_spf_matches_naive_table(limit):
-    naive = [0, 0] + [next(q for q in range(2, n + 1) if n % q == 0)
-                      for n in range(2, limit + 1)]
-    table = spf_sieve(limit)
-    assert table.spf.tolist() == naive
-    assert table.primes.tolist() == [n for n in range(2, limit + 1) if naive[n] == n]
-
-
-def test_factor_distinct(spf_small):
-    assert spf_small.factor_distinct(1) == []
-    assert spf_small.factor_distinct(12) == [2, 3]
-    assert spf_small.factor_distinct(97) == [97]
-    with pytest.raises(LimitError):
-        spf_small.factor_distinct(10**7)
+    assert spf_sieve(limit).primes.tolist() == _naive_primes(limit)
 
 
 def test_primes_up_to(spf_small):
@@ -91,12 +78,11 @@ def test_primes_up_to(spf_small):
 
 def test_primes_up_to_matches_full_scan(spf_small):
     limit = spf_small.limit
+    naive = _naive_primes(limit)
     for x in (2, 3, limit, 99_991, 99_990):  # 99_991 is prime
-        idx = np.arange(x + 1, dtype=spf_small.spf.dtype)
-        expected = np.flatnonzero(spf_small.spf[: x + 1] == idx)[1:]
         got = spf_small.primes_up_to(x)
         assert got.dtype == np.int64
-        assert got.tolist() == expected.tolist(), f"x = {x}"
+        assert got.tolist() == [q for q in naive if q <= x], f"x = {x}"
     with pytest.raises(LimitError):
         spf_small.primes_up_to(limit + 1)
 
@@ -149,12 +135,12 @@ def test_lucas_v_matches_iteration():
 # ---------------------------------------------------------------------------
 
 
-def test_rank_fibonacci_examples(spf_small):
+def test_rank_fibonacci_examples():
     fib = make_context(1, -1)
-    assert rank(11, fib, spf_small) == 10
-    assert rank(7, fib, spf_small) == 8
+    assert rank(11, fib) == 10
+    assert rank(7, fib) == 8
     with pytest.raises(LucasDensityError):
-        rank(5, fib, spf_small)  # 5 | delta: excluded locus
+        rank(5, fib)  # 5 | delta: excluded locus
 
 
 def test_rank_matches_naive_for_four_sequences(spf_small):
@@ -165,7 +151,7 @@ def test_rank_matches_naive_for_four_sequences(spf_small):
             p = int(p)
             if (2 * abs(ctx.a2) * abs(ctx.delta)) % p == 0:
                 continue
-            got = rank(p, ctx, spf_small)
+            got = rank(p, ctx)
             assert got == naive_rank(p, a1, a2), (a1, a2, p)
 
 
@@ -177,7 +163,7 @@ def test_rank_divides_p_minus_epsilon(spf_small):
         p = int(p)
         if (2 * abs(ctx.a2) * abs(ctx.delta)) % p == 0:
             continue
-        assert (p - jacobi(ctx.delta % p, p)) % rank(p, ctx, spf_small) == 0
+        assert (p - jacobi(ctx.delta % p, p)) % rank(p, ctx) == 0
 
 
 def test_rank_context_equivalence(spf_small):
@@ -186,24 +172,43 @@ def test_rank_context_equivalence(spf_small):
         p = int(p)
         if p == 5:
             continue
-        assert rank(p, ctx, spf_small) == rank(p, ctx.gamma, spf_small)
+        assert rank(p, ctx) == rank(p, ctx.gamma)
 
 
-def test_rank_direct_element_modes(spf_small):
+def test_rank_direct_element_modes():
     # split and inert primes for a table element over disc -3
     g = QuadElem(-3, Fraction(-13, 14), Fraction(3, 14))
-    assert rank(13, g, spf_small) >= 1   # 13 = 1 mod 3 splits
-    assert rank(5, g, spf_small) >= 1    # 5 = 2 mod 3 is inert
+    assert rank(13, g) >= 1   # 13 = 1 mod 3 splits
+    assert rank(5, g) >= 1    # 5 = 2 mod 3 is inert
     with pytest.raises(LucasDensityError):
-        rank(7, g, spf_small)  # divides the denominators
+        rank(7, g)  # divides the denominators
     with pytest.raises(LucasDensityError):
-        rank(3, g, spf_small)  # ramified
+        rank(3, g)  # ramified
+
+
+def _trial_prime_factors(n):
+    out, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return out + ([n] if n > 1 else [])
 
 
 def test_rank_out_of_reach():
-    tiny = spf_sieve(50)
-    with pytest.raises(LimitError):
-        rank(101, make_context(1, -1), tiny)
+    # primes far past any sieve: the rank is the order of gamma, a divisor of
+    # p - (D/p), checked against factors found by trial division
+    targets = [make_context(1, -1), QuadElem(-3, Fraction(-13, 14), Fraction(3, 14))]
+    for target in targets:
+        chain = _chain(target)
+        for p in (10**9 + 7, 10**9 + 9):
+            r = rank(p, target)
+            assert (p - jacobi(chain.char_disc % p, p)) % r == 0
+            assert lucas_v_mod(r, p, chain.trace) == 2
+            for q in _trial_prime_factors(r):
+                assert lucas_v_mod(r // q, p, chain.trace) != 2, (str(target), p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +221,6 @@ def test_empirical_d1_counts_everything(spf_small):
     assert rep.ratio == 1
     assert rep.counted == rep.eligible
     assert rep.ratio_plus + rep.ratio_minus == 1
-
-
-def test_empirical_threads_accepted_and_ignored(spf_small):
-    # threads is a deprecated no-op: threads=4 must still be accepted
-    rep = empirical_density(make_context(1, -1), 2, 30_000, spf=spf_small, threads=4)
-    assert (rep.counted_plus, rep.counted_minus, rep.eligible) == (1334, 822, 3243)
 
 
 def test_empirical_fibonacci_two_thirds(spf_small):
@@ -294,7 +293,7 @@ def test_empirical_counter_matches_scalar_rank(spf_small):
         ranks, plus_side = [], []
         for p in spf_small.primes_up_to(x)[1:].tolist():
             try:
-                ranks.append(rank(p, target, spf_small))
+                ranks.append(rank(p, target))
             except LucasDensityError:
                 continue  # the excluded locus
             plus_side.append(jacobi(disc % p, p) == 1)
@@ -356,7 +355,7 @@ def test_empirical_rejects_capacity_overrun(spf_small):
 
 
 def test_report_rejects_inconsistent_counts():
-    with pytest.raises(AssertionError):
+    with pytest.raises(LucasDensityError, match="EmpiricalReport.counted=3"):
         EmpiricalReport(
             a1=1, a2=-1, d=2, x=10, counted=3, counted_plus=1, counted_minus=1,
             eligible=5, ratio=Fraction(3, 5), ratio_plus=Fraction(1, 5),

@@ -44,14 +44,16 @@ from lucasdensity.quadfield import (
 # run under python -O, which strips assert statements
 _OPTIMIZED_CHECK = """
 from fractions import Fraction
-from lucasdensity import (DensityResult, Interval, LucasDensityError, QuadElem, STerm,
-                          dispatch, power_index)
+from lucasdensity import (DensityResult, EmpiricalReport, Interval, LucasDensityError,
+                          QuadElem, STerm, dispatch, power_index)
 calls = [lambda disc=disc: dispatch(QuadElem(disc, 1, 1), 2) for disc in (7, 0, 9, 4)]
 calls.append(lambda: power_index(QuadElem(5, 2, 0)))
 calls.append(lambda: dispatch(QuadElem(20, Fraction(-3, 2), Fraction(-1, 4)), 2))
 calls.append(lambda: STerm(2, 1, 1, 0, Fraction(1), Fraction(1)))
 calls.append(lambda: Interval(Fraction(1), Fraction(0)))
 calls.append(lambda: DensityResult(Fraction(2), Fraction(1), Fraction(1), "t", (), {}))
+calls.append(lambda: EmpiricalReport(1, -1, 2, 10, 3, 1, 1, 5, Fraction(3, 5),
+                                     Fraction(1, 5), Fraction(1, 5)))
 for call in calls:
     try:
         call()
@@ -78,6 +80,8 @@ def test_quad_elem_validation_survives_optimize_flag():
         "LucasDensityError STerm.nu must be a positive int, got 0",
         "LucasDensityError Interval.lo=1 exceeds Interval.hi=0",
         "LucasDensityError DensityResult.delta=2 is outside [0, 1]",
+        "LucasDensityError EmpiricalReport.counted=3 differs from counted_plus"
+        " + counted_minus = 2",
     ]
 
 
