@@ -10,6 +10,7 @@ callers, factor a recurring integer once.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -21,6 +22,12 @@ from .errors import LucasDensityError
 # Deterministic Miller-Rabin base set: the first 13 primes certify primality
 # for every n < 3.317e24, far above any conductor/discriminant handled here.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The first k bases already certify every n below _MR_BOUNDS[k-1] (OEIS A014233,
+# the least odd composite that passes them), so a small n needs only a few.
+_MR_BOUNDS = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 341550071728321, 3825123056546413051,
+              3825123056546413051, 3825123056546413051, 318665857834031151167461,
+              3317044064679887385961981)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                  59, 61, 67, 71, 73, 79, 83, 89, 97)
@@ -61,7 +68,7 @@ def is_probable_prime(n: int) -> bool:
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _MR_BASES:
+    for a in _MR_BASES[:bisect.bisect_right(_MR_BOUNDS, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

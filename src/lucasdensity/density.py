@@ -24,6 +24,7 @@ from .arith import (
     divides_power_infinity,
     divisors,
     euler_phi,
+    factorize,
     gcd_power_infinity,
     iter_smooth,
     moebius,
@@ -170,7 +171,7 @@ class DensityResult:
 def _validate_positive(**kwargs: int) -> None:
     for name, val in kwargs.items():
         if not isinstance(val, int) or isinstance(val, bool) or val < 1:
-            raise ValueError(f"{name} must be a positive integer, got {val!r}")
+            raise LucasDensityError(f"{name} must be a positive integer, got {val!r}")
 
 
 def s_eval(d: int, e: int, h: int, nu: int = 1) -> Fraction:
@@ -228,7 +229,7 @@ def _gamma_of(target: Target) -> QuadElem:
         return target.gamma
     if isinstance(target, QuadElem):
         return target
-    raise ValueError(f"expected a sequence context or field element, got {target!r}")
+    raise LucasDensityError(f"expected a sequence context or field element, got {target!r}")
 
 
 def normal_form(target: Target) -> QuadElem:
@@ -498,11 +499,8 @@ def delta_gauss_hi(d: int, twisted: QuadElem, echo_extra: dict) -> DensityResult
     profile = kummer_profile(twisted)
     if twisted.disc_k != -4 or profile.h % 2 or profile.cond is None:
         raise CaseError("gauss-hi preconditions fail")
-    k = 0
-    d_odd = d
-    while d_odd % 2 == 0:
-        d_odd //= 2
-        k += 1
+    k = factorize(d).as_dict().get(2, 0)
+    d_odd = d >> k
     h2 = gcd_power_infinity(profile.h, 2)
     m = int(8 * d_odd % abs(profile.sqrt.delta1) == 0) + int(
         16 * d_odd % profile.cond.value == 0
@@ -525,11 +523,8 @@ def delta_eisen_homega(d: int, twisted: QuadElem, echo_extra: dict) -> DensityRe
     profile = kummer_profile(twisted)
     if twisted.disc_k != -3 or profile.h % 3 or profile.cond is None:
         raise CaseError("eisen-homega preconditions fail")
-    k = 0
-    d_prime = d
-    while d_prime % 3 == 0:
-        d_prime //= 3
-        k += 1
+    k = factorize(d).as_dict().get(3, 0)
+    d_prime = d // 3 ** k
     h3 = gcd_power_infinity(profile.h, 3)
     m = int(9 * d_prime % profile.cond.value == 0)
     if math.gcd(d_prime, 6) > 1:

@@ -49,7 +49,8 @@ class SqrtData:
 def sqrt_data(root: QuadElem) -> SqrtData:
     """Square-root data of the normalised h2-th root of gamma-tilde."""
     norm = qf_norm(root)
-    assert norm in (1, -1), f"expected a unit-norm input, got norm {norm}"
+    if norm not in (1, -1):
+        raise LucasDensityError(f"sqrt_data needs a root of norm +-1, got {root} of norm {norm}")
     if norm == -1:
         return SqrtData(q_flag=False)
     c = (root.u - 1) / 2
@@ -395,33 +396,16 @@ class ConductorData:
     squarefree_part: int
 
 
-def _split_conductor(value: int, base: int) -> tuple[int, int]:
-    e = 0
-    rest = value
-    while rest % base == 0:
-        rest //= base
-        e += 1
-    return e, rest
-
-
 def _integralize(poly: Sequence[Fraction]) -> list[int]:
     """Substitute Y = m*X with m minimal so the monic polynomial gets integer coefficients."""
     n = len(poly) - 1
     assert poly[-1] == 1
-    m = 1
+    need: dict[int, int] = {}  # p -> max over coefficients of ceil(e / (n-i))
     for i, c in enumerate(poly[:-1]):
-        d = Fraction(c).denominator
-        for p, e in factorize(d).pairs:
-            need = -(-e // (n - i))  # ceil(e / (n-i))
-            have = 0
-            mm = m
-            while mm % p == 0:
-                mm //= p
-                have += 1
-            if need > have:
-                m *= p ** (need - have)
-    out = [int(Fraction(c) * m ** (n - i)) for i, c in enumerate(poly[:-1])] + [1]
-    return out
+        for p, e in factorize(Fraction(c).denominator).pairs:
+            need[p] = max(need.get(p, 0), -(-e // (n - i)))
+    m = math.prod(p ** k for p, k in need.items())
+    return [int(Fraction(c) * m ** (n - i)) for i, c in enumerate(poly[:-1])] + [1]
 
 
 def quartic_conductor(root: QuadElem) -> ConductorData:
@@ -444,10 +428,12 @@ def quartic_conductor(root: QuadElem) -> ConductorData:
             f"quadratic subfield discriminant {data.delta2}")
     f_f = math.isqrt(quotient)
     value = math.lcm(4, f_f)
-    exponent, rest = _split_conductor(value, 2)
-    if exponent not in (2, 3, 4) or any(e > 1 for _, e in factorize(rest).pairs):
+    exps = factorize(value).as_dict()
+    exponent = exps.pop(2)
+    if exponent not in (2, 3, 4) or any(e > 1 for e in exps.values()):
         raise ShapeError(f"quartic conductor {value} violates 2^a * squarefree, a in 2..4")
-    return ConductorData(value=value, base=2, base_exponent=exponent, squarefree_part=rest)
+    return ConductorData(value=value, base=2, base_exponent=exponent,
+                         squarefree_part=value >> exponent)
 
 
 def cubic_conductor(root: QuadElem) -> ConductorData:
@@ -463,11 +449,12 @@ def cubic_conductor(root: QuadElem) -> ConductorData:
     if disc_f <= 0 or not _is_square(disc_f):
         raise ShapeError(f"cubic field discriminant {disc_f} is not a square: not cyclic")
     value = math.isqrt(disc_f)
-    exponent, rest = _split_conductor(value, 3)
-    rest_pairs = factorize(rest).pairs if rest > 1 else ()
-    if exponent not in (0, 2) or any(e > 1 or p % 3 != 1 for p, e in rest_pairs):
+    exps = factorize(value).as_dict()
+    exponent = exps.pop(3, 0)
+    if exponent not in (0, 2) or any(e > 1 or p % 3 != 1 for p, e in exps.items()):
         raise ShapeError(f"cubic conductor {value} violates 3^a * (primes = 1 mod 3), a in {{0,2}}")
-    return ConductorData(value=value, base=3, base_exponent=exponent, squarefree_part=rest)
+    return ConductorData(value=value, base=3, base_exponent=exponent,
+                         squarefree_part=value // 3 ** exponent)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .arith import factorize, jacobi, prime_factors
+from .arith import factorize, is_probable_prime, jacobi, prime_factors
 from .errors import LimitError, LucasDensityError
 from .quadfield import QuadElem, SequenceContext, qf_norm, qf_trace
 
@@ -194,7 +194,7 @@ def _order(p: int, m: int, trace: Fraction) -> int:
 
 def rank(p: int, target: Target) -> int:
     """Least n >= 1 with p | U_n, equivalently the order of gamma above p."""
-    if p < 3:
+    if p < 3 or not is_probable_prime(p):
         raise LucasDensityError(f"rank needs an odd prime, got {p}")
     chain = _chain(target)
     if p in chain.excluded:

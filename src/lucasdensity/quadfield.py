@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .arith import divisors, is_probable_prime, jacobi, prime_factors, squarefree_kernel
+from .arith import divisors, factorize, is_probable_prime, jacobi, prime_factors, squarefree_kernel
 from .errors import (
     DiscMismatchError,
     DivisionByZeroError,
@@ -199,12 +199,6 @@ def make_context(a1: int, a2: int) -> SequenceContext:
 _CANDIDATE_PRIMES = 4  # split primes compared when choosing the p-adic modulus
 
 
-def _is_split(p: int, disc: int) -> bool:
-    if p == 2:
-        return disc % 8 == 1
-    return disc % p != 0 and jacobi(disc % p, p) == 1
-
-
 def _sqrt_mod_prime(n: int, p: int) -> int:
     """Tonelli-Shanks; assumes p odd prime and n a nonzero square mod p."""
     n %= p
@@ -242,19 +236,6 @@ def _lift_root(z: int, alpha: int, n: int, p: int, exp: int) -> int:
     return z
 
 
-def _sqrt_mod_prime_power(n: int, p: int, exp: int) -> int:
-    """r with r**2 = n mod p**exp, for p split (p odd, or p = 2 with n = 1 mod 8)."""
-    if p == 2:
-        assert n % 8 == 1, "2 must split"
-        r, k = 1, 3
-        while k < exp:
-            if (r * r - n) % (1 << (k + 1)):
-                r += 1 << (k - 1)
-            k += 1
-        return r % (1 << exp)
-    return _lift_root(_sqrt_mod_prime(n, p), n % p ** exp, 2, p, exp)
-
-
 def _iroot(m: int, n: int) -> int:
     """floor(m ** (1/n)) for an integer m >= 0."""
     if m < 2:
@@ -282,7 +263,7 @@ def _choose_prime(disc: int, n: int, excluded: int) -> tuple[int, int, int]:
     floor = math.gcd(n, 4 if disc == -4 else 6 if disc == -3 else 2)
     best, seen = None, 0
     for p in filter(is_probable_prime, itertools.count(3, 2)):
-        if excluded % p == 0 or not _is_split(p, disc):
+        if excluded % p == 0 or jacobi(disc % p, p) != 1:
             continue
         rest = p - 1
         while (t := math.gcd(n, rest)) > 1:
@@ -408,7 +389,7 @@ def is_nth_power(x: QuadElem, n: int) -> Optional[QuadElem]:
     k, mod = 1, p
     while mod <= 2 * num_bound * den_bound:
         k, mod = k + 1, mod * p
-    s = _sqrt_mod_prime_power(disc, p, k)  # lifts the same square root mod p
+    s = _lift_root(s, disc % mod, 2, p, k)  # the same square root of disc, mod p**k
     alpha = (x.u.numerator * pow(du, -1, mod) + x.v.numerator * pow(dv, -1, mod) * s) % mod
     half, half_s = pow(2, -1, mod), pow(2 * s, -1, mod)
     norms = (norm_root, -norm_root) if disc > 0 and n % 2 == 0 else (norm_root,)
@@ -514,39 +495,22 @@ def _tie_break_order(nmu: int) -> tuple[int, ...]:
     return (0, 3, 2, 4, 1, 5)
 
 
-def _padic_valuation(n: int, p: int) -> int:
-    assert n != 0
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def _support_exponents(x: QuadElem) -> list[int]:
-    """|v_P(x)| over the split primes P where x's fractional ideal is nontrivial.
+    """|v_P(x)| over the primes P where x's fractional ideal is nontrivial.
 
-    Only split primes can occur: norm 1 forces the valuation at every inert and
-    ramified prime to vanish.
+    Write x = (a + b*sqrt(D))/c in lowest terms, so a**2 - D*b**2 = c**2.  An
+    odd p | c cannot divide both a and b, so D = (a/b)**2 mod p: p splits, and
+    a + b*sqrt(D), of norm c**2, is prime to one of the two primes above p, so
+    |v_P(x)| = v_p(c).  At a split 2 (D = 1 mod 8) the same equation forces a
+    and b odd and 4 | c, and the integral element (a + b*sqrt(D))/2 is prime to
+    one prime above 2, so |v_P(x)| = v_2(c) - 1.  Norm 1 makes the valuation
+    vanish at every inert or ramified prime, 2 included.
     """
     disc = x.disc_k
     c = math.lcm(x.u.denominator, x.v.denominator)
     a, b = int(x.u * c), int(x.v * c)
     assert a * a - disc * b * b == c * c, "norm-1 element expected"
-    out = []
-    for p in prime_factors(c):
-        if not _is_split(p, disc):
-            continue
-        vc = _padic_valuation(c, p)
-        exp = 3 * vc + 1
-        mod = p ** exp
-        r = _sqrt_mod_prime_power(disc % mod, p, exp)
-        t = (a + b * r) % mod
-        assert t != 0, "valuation exceeded its a-priori bound"
-        k = _padic_valuation(t, p) - vc
-        if k:
-            out.append(abs(k))
-    return out
+    return [e - (p == 2) for p, e in factorize(c).pairs if p != 2 or disc % 8 == 1]
 
 
 def _log_sigma1(unit: QuadElem) -> float:

@@ -2,15 +2,18 @@
 
 These deliberately avoid the closed forms in the package: the S-sum oracle
 enumerates the defining double sum term by term and carries a rigorous
-enclosure for what it discarded, and the naive rank oracle walks the
-recurrence one index at a time.
+enclosure for what it discarded, the naive rank oracle walks the recurrence
+one index at a time, and the support-exponent oracle reads each valuation off
+a p-adic square root of the discriminant instead of off the denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from lucasdensity.arith import divisors, euler_phi, moebius, prime_factors, smooth_numbers
+from lucasdensity.arith import (divisors, euler_phi, jacobi, moebius, prime_factors,
+                                smooth_numbers)
+from lucasdensity.quadfield import QuadElem, _lift_root, _sqrt_mod_prime
 
 import math
 
@@ -56,3 +59,57 @@ def naive_rank(p: int, a1: int, a2: int, bound: int | None = None) -> int:
             return n
         u0, u1 = u1, (a1 * u1 - a2 * u0) % p
     raise AssertionError(f"no rank below {limit} for p={p}, ({a1},{a2})")
+
+
+def _is_split(p: int, disc: int) -> bool:
+    if p == 2:
+        return disc % 8 == 1
+    return disc % p != 0 and jacobi(disc % p, p) == 1
+
+
+def _padic_valuation(n: int, p: int) -> int:
+    assert n != 0
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def _sqrt_mod_prime_power(n: int, p: int, exp: int) -> int:
+    """r with r**2 = n mod p**exp, for p split (p odd, or p = 2 with n = 1 mod 8)."""
+    if p == 2:
+        assert n % 8 == 1, "2 must split"
+        r, k = 1, 3
+        while k < exp:
+            if (r * r - n) % (1 << (k + 1)):
+                r += 1 << (k - 1)
+            k += 1
+        return r % (1 << exp)
+    return _lift_root(_sqrt_mod_prime(n, p), n % p ** exp, 2, p, exp)
+
+
+def padic_support_exponents(x: QuadElem) -> list[int]:
+    """|v_P(x)| over the split primes P of a norm-1 x, one p-adic embedding at a time.
+
+    For each split p | c, sqrt(D) is lifted mod p^(3*v_p(c) + 1) and the
+    valuation of a + b*sqrt(D) under that embedding is compared with v_p(c).
+    """
+    disc = x.disc_k
+    c = math.lcm(x.u.denominator, x.v.denominator)
+    a, b = int(x.u * c), int(x.v * c)
+    assert a * a - disc * b * b == c * c, "norm-1 element expected"
+    out = []
+    for p in prime_factors(c):
+        if not _is_split(p, disc):
+            continue
+        vc = _padic_valuation(c, p)
+        exp = 3 * vc + 1
+        mod = p ** exp
+        r = _sqrt_mod_prime_power(disc % mod, p, exp)
+        t = (a + b * r) % mod
+        assert t != 0, "valuation exceeded its a-priori bound"
+        k = _padic_valuation(t, p) - vc
+        if k:
+            out.append(abs(k))
+    return out

@@ -35,6 +35,24 @@ def test_factorize_rejects_zero():
         factorize(0)
 
 
+def test_is_probable_prime_matches_sieve_and_base_bounds():
+    limit = 200_000
+    sieve = [True] * limit
+    sieve[0] = sieve[1] = False
+    for i in range(2, math.isqrt(limit) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = [False] * len(range(i * i, limit, i))
+    assert [n for n in range(limit) if is_probable_prime(n)] == [
+        n for n in range(limit) if sieve[n]]
+    # each bound is the least odd composite that passes the bases below it;
+    # the last one, 3317044064679887385961981, passes all 13 and ends the range
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051, 318665857834031151167461):
+        assert not is_probable_prime(n), n
+    for n in (2**31 - 1, 2**61 - 1, 2**89 - 1):
+        assert is_probable_prime(n), n
+
+
 def test_factorize_large_semiprime():
     # two 10-digit primes; exercises the rho path
     p, q = 1000000007, 1000000009

@@ -216,6 +216,14 @@ def test_verify_limit_floor(capsys):
     assert "invalid input" in err
 
 
+@pytest.mark.parametrize("subcommand", ["density", "verify", "explain"])
+def test_nonpositive_d_exit_2(capsys, subcommand):
+    code, _, err = run_cli(capsys, subcommand, "--a1", "1", "--a2", "-1", "--d", "0")
+    assert code == 2
+    assert "invalid input" in err
+    assert "d must be a positive integer" in err
+
+
 def test_verify_json(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--a1", "1", "--a2", "-1", "--d", "2",

@@ -86,9 +86,9 @@ def test_s_eval_hypothesis_guard():
 
 
 def test_s_eval_rejects_nonpositive():
-    with pytest.raises(ValueError):
+    with pytest.raises(LucasDensityError):
         s_eval(0, 1, 1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(LucasDensityError):
         s_eval(8, 1, -2, 1)
 
 

@@ -16,6 +16,7 @@ from lucasdensity.errors import (
 )
 from lucasdensity.kummer import (
     _has_rational_root,
+    _integralize,
     _splits_into_quadratics,
     cubic_conductor,
     kummer_degree,
@@ -304,6 +305,15 @@ def test_poly_field_disc_large_constant_term_is_quick():
     t0 = time.perf_counter()
     assert poly_field_disc(f) == 19326600817209 == 4396203**2
     assert time.perf_counter() - t0 < 5.0
+
+
+def test_integralize_scale_is_minimal():
+    # m takes each prime to the largest power any one coefficient needs, not the
+    # sum: 2 sits in the X and the constant term's denominators, 3 in X^2's only
+    assert _integralize([F(1, 8), F(1, 2), F(0), F(0), F(1)]) == [2, 4, 0, 0, 1]  # m = 2
+    assert _integralize([F(5, 16), F(1, 4), F(1, 6), F(0), F(1)]) == [405, 54, 6, 0, 1]  # m = 6
+    assert _integralize([F(-3, 2), F(-3), F(0), F(1)]) == [-12, -12, 0, 1]  # m = 2
+    assert _integralize([F(-7), F(0), F(-1), F(0), F(1)]) == [-7, 0, -1, 0, 1]  # m = 1
 
 
 def test_poly_field_disc_rejects_bad_shape():

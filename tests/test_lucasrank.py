@@ -143,6 +143,16 @@ def test_rank_fibonacci_examples():
         rank(5, fib)  # 5 | delta: excluded locus
 
 
+def test_rank_rejects_composite_modulus():
+    # the order descent is only valid for a prime: for these composites it
+    # would return 4, 20 and 15 instead of the true ranks
+    fib = make_context(1, -1)
+    for n, true_rank in ((9, 12), (21, 8), (15, 20)):
+        assert naive_rank(n, 1, -1) == true_rank
+        with pytest.raises(LucasDensityError, match=f"odd prime, got {n}"):
+            rank(n, fib)
+
+
 def test_rank_matches_naive_for_four_sequences(spf_small):
     pairs = [(1, -1), (2, -1), (1, 3), (5, 3)]
     for a1, a2 in pairs:

@@ -21,6 +21,7 @@ from lucasdensity.errors import (
 )
 from lucasdensity.quadfield import (
     QuadElem,
+    _support_exponents,
     fundamental_unit,
     gamma_from_radicand,
     is_nth_power,
@@ -36,6 +37,8 @@ from lucasdensity.quadfield import (
     torsion_units,
 )
 
+from oracles import padic_support_exponents
+
 # ---------------------------------------------------------------------------
 # elements
 # ---------------------------------------------------------------------------
@@ -46,6 +49,7 @@ _OPTIMIZED_CHECK = """
 from fractions import Fraction
 from lucasdensity import (DensityResult, EmpiricalReport, Interval, LucasDensityError,
                           QuadElem, STerm, dispatch, power_index)
+from lucasdensity.kummer import sqrt_data
 calls = [lambda disc=disc: dispatch(QuadElem(disc, 1, 1), 2) for disc in (7, 0, 9, 4)]
 calls.append(lambda: power_index(QuadElem(5, 2, 0)))
 calls.append(lambda: dispatch(QuadElem(20, Fraction(-3, 2), Fraction(-1, 4)), 2))
@@ -54,6 +58,7 @@ calls.append(lambda: Interval(Fraction(1), Fraction(0)))
 calls.append(lambda: DensityResult(Fraction(2), Fraction(1), Fraction(1), "t", (), {}))
 calls.append(lambda: EmpiricalReport(1, -1, 2, 10, 3, 1, 1, 5, Fraction(3, 5),
                                      Fraction(1, 5), Fraction(1, 5)))
+calls.append(lambda: sqrt_data(QuadElem(5, 3, 1)))
 for call in calls:
     try:
         call()
@@ -82,6 +87,7 @@ def test_quad_elem_validation_survives_optimize_flag():
         "LucasDensityError DensityResult.delta=2 is outside [0, 1]",
         "LucasDensityError EmpiricalReport.counted=3 differs from counted_plus"
         " + counted_minus = 2",
+        "LucasDensityError sqrt_data needs a root of norm +-1, got 3+1*sqrt(5) of norm 4",
     ]
 
 
@@ -412,6 +418,39 @@ def test_fundamental_unit_is_primitive(disc):
 # ---------------------------------------------------------------------------
 # power index
 # ---------------------------------------------------------------------------
+
+# 2 splits in the first row, is inert in the second, ramifies in the third
+_SUPPORT_DISCS = ((17, 33, 41, -7, -15, -23, -31),
+                  (5, 13, 21, 29, -3, -11, -19),
+                  (8, 12, 24, 28, -4, -8, -20))
+
+
+def test_support_exponents_match_padic_reference():
+    # z / conj(z) for z in O_K, squared or not, twisted by torsion and (real
+    # fields) by a norm-1 unit: the denominator rule agrees with the p-adic one
+    rng = random.Random(9)
+    even_c = {0: 0, 1: 0, 2: 0}
+    units = {disc: fundamental_unit(disc) for row in _SUPPORT_DISCS for disc in row if disc > 0}
+    for row, discs in enumerate(_SUPPORT_DISCS):
+        for _ in range(600):
+            disc = rng.choice(discs)
+            x, y = rng.randint(-60, 60), rng.randint(-60, 60)
+            if disc % 4 == 1:
+                x += (x - y) % 2  # (x + y*sqrt(D))/2 is integral when x = y mod 2
+                z = QuadElem(disc, F(x, 2), F(y, 2))
+            else:
+                z = QuadElem(disc, x, y)
+            if z.u == 0 and z.v == 0:
+                continue
+            gamma = qf_pow(qf_mul(z, qf_inv(qf_conj(z))), rng.randint(1, 2))
+            gamma = qf_mul(rng.choice(torsion_units(disc)), gamma)
+            if disc > 0:
+                unit = qf_pow(units[disc], rng.randint(-2, 2))
+                gamma = qf_mul(unit if qf_norm(unit) == 1 else qf_mul(unit, unit), gamma)
+            assert _support_exponents(gamma) == padic_support_exponents(gamma), str(gamma)
+            even_c[row] += math.lcm(gamma.u.denominator, gamma.v.denominator) % 2 == 0
+    assert min(even_c.values()) >= 100, even_c
+
 
 # (disc, u, v, expected h, expected exponent of zeta*)
 _POWER_INDEX_ROWS = [
