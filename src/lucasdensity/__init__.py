@@ -21,7 +21,6 @@ from .errors import (
     LucasDensityError,
     OracleMismatchError,
     ReducibleError,
-    ShapeError,
     TorsionError,
     UnreachableCaseError,
     ZeroParameterError,
@@ -61,7 +60,6 @@ __all__ = [
     "ReducibleError",
     "STerm",
     "SequenceContext",
-    "ShapeError",
     "SpfTable",
     "TorsionError",
     "UnreachableCaseError",

@@ -20,7 +20,8 @@ from typing import Iterator
 from .errors import LucasDensityError
 
 # Deterministic Miller-Rabin base set: the first 13 primes certify primality
-# for every n < 3.317e24, far above any conductor/discriminant handled here.
+# for every n < 3.317e24.  Discriminants a1^2 - 4*a2 reach past that, and
+# there is_probable_prime adds a strong Lucas test (BPSW).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # The first k bases already certify every n below _MR_BOUNDS[k-1] (OEIS A014233,
 # the least odd composite that passes them), so a small n needs only a few.
@@ -52,8 +53,40 @@ class Factorization:
         return out
 
 
+def _is_strong_lucas_prp(n: int) -> bool:
+    """Strong Lucas probable-prime test with Selfridge's parameters, for odd n > 11.
+
+    D is the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1, Q = (1 - D)/4.
+    Writing n + 1 = k * 2^s with k odd, n passes when U_k = 0 or some
+    V_(k*2^r) = 0 mod n, r < s.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D has (D/n) = -1
+    d = 5
+    while (j := jacobi(d, n)) == 1:
+        d = -d - 2 if d > 0 else -d + 2
+    if j == 0:
+        return False
+    q, half = (1 - d) // 4, (n + 1) // 2
+    k = n + 1
+    s = (k & -k).bit_length() - 1
+    k >>= s
+    u, v, qk = 0, 2, 1  # U_m, V_m and Q^m for m = 0, then the leading bits of k
+    for bit in bin(k)[2:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v, qk = (u + v) * half % n, (d * u + v) * half % n, qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
+
+
 def is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.3e24.
+    """Miller-Rabin, deterministic for n < 3.3e24; BPSW (with a strong Lucas test) above.
 
     >>> is_probable_prime(9999991)
     True
@@ -78,7 +111,7 @@ def is_probable_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_BOUNDS[-1] or _is_strong_lucas_prp(n)
 
 
 def _pollard_rho(n: int) -> int:

@@ -29,10 +29,6 @@ class DegenerateError(LucasDensityError):
     """Internal impossibility, e.g. c = 0 in the square-root data of a nontorsion element."""
 
 
-class ShapeError(LucasDensityError):
-    """A computed conductor violates its structural invariant."""
-
-
 class CaseError(LucasDensityError):
     """A case formula was invoked outside its hypotheses."""
 

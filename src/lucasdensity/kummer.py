@@ -2,10 +2,11 @@
 
 The membership machinery: given the normalised root z of a norm-one element,
 decide in which cyclotomic extensions of K its square/cube/fourth roots live,
-and from that compute [K(zeta_n, gamma^(1/d)) : Q] exactly.  Field
-discriminants of the degree-3/4 defining polynomials are computed from
-scratch (Dedekind/radical-quotient maximalisation), no tables; every linear
-solve in it is an integer forward substitution against a Hermite basis.
+and from that compute [K(zeta_n, gamma^(1/d)) : Q] exactly.  The quartic and
+cubic conductors are closed forms: the tamely ramified primes are read off
+the root's denominator, the 2- or 3-part off one congruence.  poly_field_disc
+(round two, every linear solve an integer forward substitution against a
+Hermite basis) stays as the reference the tests compare them with.
 """
 
 from __future__ import annotations
@@ -16,13 +17,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .arith import divisors, euler_phi, factorize, gcd_power_infinity
-from .errors import (
-    DegenerateError,
-    LucasDensityError,
-    ReducibleError,
-    ShapeError,
-)
-from .quadfield import PowerIndexData, QuadElem, disc_and_scale, qf_norm
+from .errors import DegenerateError, LucasDensityError, ReducibleError
+from .quadfield import PowerIndexData, QuadElem, _support_exponents, disc_and_scale, qf_norm
 
 # ---------------------------------------------------------------------------
 # square-root data
@@ -396,65 +392,45 @@ class ConductorData:
     squarefree_part: int
 
 
-def _integralize(poly: Sequence[Fraction]) -> list[int]:
-    """Substitute Y = m*X with m minimal so the monic polynomial gets integer coefficients."""
-    n = len(poly) - 1
-    assert poly[-1] == 1
-    need: dict[int, int] = {}  # p -> max over coefficients of ceil(e / (n-i))
-    for i, c in enumerate(poly[:-1]):
-        for p, e in factorize(Fraction(c).denominator).pairs:
-            need[p] = max(need.get(p, 0), -(-e // (n - i)))
-    m = math.prod(p ** k for p, k in need.items())
-    return [int(Fraction(c) * m ** (n - i)) for i, c in enumerate(poly[:-1])] + [1]
+def _tame_part(root: QuadElem, disc: int, n: int, name: str) -> int:
+    """Product of the primes p not dividing n over which K(root^(1/n)) ramifies.
+
+    By Kummer theory a prime P over such a p ramifies exactly when n does not
+    divide v_P(root); for a norm-1 root every such P lies over its denominator.
+    """
+    if root.disc_k != disc or root.v == 0 or qf_norm(root) != 1:
+        raise LucasDensityError(f"{name} needs a norm-1 root over disc {disc} off Q, got {root}")
+    return math.prod(p for p, e in _support_exponents(root) if e % n)
 
 
 def quartic_conductor(root: QuadElem) -> ConductorData:
     """Conductor of the degree-8 field containing the fourth root of the twist.
 
-    ``root`` is the h2-normalised root over disc -4, of norm 1 and not a
-    square.  The totally real quartic X^4 - X^2 - c/4 has the cyclic quartic
-    subfield structure whose conductor, joined with 4, gives the answer.
+    ``root`` = u + v*sqrt(-4) is the h2-normalised root, of norm 1 and not a
+    square.  The conductor is 2^max(2, 4 - v_2(u - 1)) times the tame primes.
+    The 2-part depends only on root mod 32, since a 2-adic unit = 1 mod 32 of
+    Z_2[i] is a fourth power, and the tests check it on every norm-1 class.
     """
-    assert root.disc_k == -4, "quartic conductor is specific to the Gaussian field"
-    data = sqrt_data(root)
-    assert data.q_flag, "norm 1 required"
-    c = data.c
-    poly = [-c / 4, Fraction(0), Fraction(-1), Fraction(0), Fraction(1)]
-    disc_f = poly_field_disc(_integralize(poly))
-    quotient, rem = divmod(disc_f, abs(data.delta2))
-    if rem or quotient <= 0 or not _is_square(quotient):
-        raise ShapeError(
-            f"quartic field discriminant {disc_f} is incompatible with the "
-            f"quadratic subfield discriminant {data.delta2}")
-    f_f = math.isqrt(quotient)
-    value = math.lcm(4, f_f)
-    exps = factorize(value).as_dict()
-    exponent = exps.pop(2)
-    if exponent not in (2, 3, 4) or any(e > 1 for e in exps.values()):
-        raise ShapeError(f"quartic conductor {value} violates 2^a * squarefree, a in 2..4")
-    return ConductorData(value=value, base=2, base_exponent=exponent,
-                         squarefree_part=value >> exponent)
+    tame = _tame_part(root, -4, 4, "quartic_conductor")
+    # u has an odd denominator, and u != 1 since v != 0
+    low = (root.u - 1).numerator
+    exponent = max(2, 4 - ((low & -low).bit_length() - 1))
+    return ConductorData(value=tame << exponent, base=2, base_exponent=exponent,
+                         squarefree_part=tame)
 
 
 def cubic_conductor(root: QuadElem) -> ConductorData:
     """Conductor of the cubic-root tower over disc -3.
 
-    ``root`` is the h6-normalised root; only its rational part u enters, via
-    the totally real cubic X^3 - 3X - 2u.
+    ``root`` = u + v*sqrt(-3) is the h6-normalised root.  The conductor is the
+    product of the tame primes, times 9 unless 3 divides the numerator of v.
+    The 3-part depends only on root mod 27, since a 3-adic unit = 1 mod 27 of
+    Z_3[omega] is a cube, and the tests check it on every norm-1 class.
     """
-    assert root.disc_k == -3, "cubic conductor is specific to the Eisenstein field"
-    two_u = 2 * root.u
-    poly = [-two_u, Fraction(-3), Fraction(0), Fraction(1)]
-    disc_f = poly_field_disc(_integralize(poly))
-    if disc_f <= 0 or not _is_square(disc_f):
-        raise ShapeError(f"cubic field discriminant {disc_f} is not a square: not cyclic")
-    value = math.isqrt(disc_f)
-    exps = factorize(value).as_dict()
-    exponent = exps.pop(3, 0)
-    if exponent not in (0, 2) or any(e > 1 or p % 3 != 1 for p, e in exps.items()):
-        raise ShapeError(f"cubic conductor {value} violates 3^a * (primes = 1 mod 3), a in {{0,2}}")
-    return ConductorData(value=value, base=3, base_exponent=exponent,
-                         squarefree_part=value // 3 ** exponent)
+    tame = _tame_part(root, -3, 3, "cubic_conductor")
+    exponent = 0 if root.v.numerator % 3 == 0 else 2
+    return ConductorData(value=tame * 3 ** exponent, base=3, base_exponent=exponent,
+                         squarefree_part=tame)
 
 
 # ---------------------------------------------------------------------------

@@ -27,13 +27,17 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Union
 
 from .arith import factorize, is_probable_prime, jacobi, prime_factors
 from .errors import LimitError, LucasDensityError
 from .quadfield import QuadElem, SequenceContext, qf_norm, qf_trace
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# numpy is imported inside the functions that count, so that the exact layer
+# (dispatch and the CLI's exact subcommands) runs without loading it.
 
 Target = Union[SequenceContext, QuadElem]
 
@@ -63,11 +67,12 @@ class SpfTable:
         """All primes <= x as a read-only int64 array."""
         if x > self.limit:
             raise LimitError(f"{x} exceeds the sieved limit {self.limit}")
-        return self.primes[: np.searchsorted(self.primes, x, side="right")]
+        return self.primes[: self.primes.searchsorted(x, side="right")]
 
 
 def spf_sieve(limit: int) -> SpfTable:
     """Sieve of Eratosthenes over the odd numbers: every prime in 2..limit."""
+    import numpy as np
     if limit < 2:
         raise LimitError(f"sieve limit must be at least 2, got {limit}")
     if limit > SIEVE_CEILING:
@@ -111,6 +116,7 @@ def lucas_v_mod(n: int, p: int, trace: Union[Fraction, int]) -> int:
 
 def _residues(n: int, p: np.ndarray) -> np.ndarray:
     """n mod p for every entry of p, exact for integers of any size."""
+    import numpy as np
     mag = abs(n)
     r = np.zeros_like(p)
     for shift in range(24 * ((mag.bit_length() - 1) // 24), -1, -24):
@@ -124,6 +130,7 @@ def _residues(n: int, p: np.ndarray) -> np.ndarray:
 
 def _pow_many(base: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
     """base^e mod p elementwise, with a separate exponent for every entry."""
+    import numpy as np
     out = np.ones_like(p)
     for j in range(int(e.max()).bit_length()):
         out = out * (1 + ((e >> j) & 1) * (base - 1)) % p
@@ -133,6 +140,7 @@ def _pow_many(base: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def _lucas_v_many(n: np.ndarray, t: np.ndarray, p: np.ndarray) -> np.ndarray:
     """lucas_v_mod elementwise over residues t, with a separate n for every entry."""
+    import numpy as np
     v0, v1 = np.full_like(t, 2), t
     for j in range(int(n.max()).bit_length() - 1, -1, -1):
         bit = (n >> j) & 1
@@ -146,6 +154,7 @@ def _lucas_v_many(n: np.ndarray, t: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def _chi_and_trace(num: int, den: int, char_disc: int, p: np.ndarray) -> tuple:
     """(chi(p), num/den mod p) for odd primes p prime to char_disc * den, by one ladder."""
+    import numpy as np
     den_r = _residues(den, p)
     disc_den = _residues(char_disc, p) * den_r % p
     b = disc_den * den_r % p
@@ -244,6 +253,7 @@ def _divisible(
     t: np.ndarray, m: np.ndarray, p: np.ndarray, powers: list[tuple[int, int]]
 ) -> np.ndarray:
     """d | order of gamma for every prime, given (q, q^k) for each q^k || d."""
+    import numpy as np
     hit = np.ones(len(p), dtype=bool)
     for q, qk in powers:
         if qk > int(m.max()):
@@ -271,6 +281,7 @@ def empirical_density(
     ``dump_path`` also writes a ``p,rank,jacobi,divisible`` CSV, with each
     rank found by the scalar descent that rank() uses.
     """
+    import numpy as np
     if d < 1:
         raise LucasDensityError(f"divisor must be positive, got {d}")
     if spf is None:

@@ -495,8 +495,8 @@ def _tie_break_order(nmu: int) -> tuple[int, ...]:
     return (0, 3, 2, 4, 1, 5)
 
 
-def _support_exponents(x: QuadElem) -> list[int]:
-    """|v_P(x)| over the primes P where x's fractional ideal is nontrivial.
+def _support_exponents(x: QuadElem) -> list[tuple[int, int]]:
+    """(p, |v_P(x)|) over the primes P | p where x's fractional ideal is nontrivial.
 
     Write x = (a + b*sqrt(D))/c in lowest terms, so a**2 - D*b**2 = c**2.  An
     odd p | c cannot divide both a and b, so D = (a/b)**2 mod p: p splits, and
@@ -510,7 +510,7 @@ def _support_exponents(x: QuadElem) -> list[int]:
     c = math.lcm(x.u.denominator, x.v.denominator)
     a, b = int(x.u * c), int(x.v * c)
     assert a * a - disc * b * b == c * c, "norm-1 element expected"
-    return [e - (p == 2) for p, e in factorize(c).pairs if p != 2 or disc % 8 == 1]
+    return [(p, e - (p == 2)) for p, e in factorize(c).pairs if p != 2 or disc % 8 == 1]
 
 
 def _log_sigma1(unit: QuadElem) -> float:
@@ -533,7 +533,7 @@ def power_index(gamma: QuadElem) -> PowerIndexData:
         raise LucasDensityError(f"power index needs a norm-1 element, got {gamma}")
     if is_torsion(gamma):
         raise TorsionError(f"power index is undefined for the root of unity {gamma}")
-    exps = _support_exponents(gamma)
+    exps = [e for _, e in _support_exponents(gamma)]
     if exps:
         cap = math.gcd(*exps)
     else:

@@ -3,16 +3,19 @@
 These deliberately avoid the closed forms in the package: the S-sum oracle
 enumerates the defining double sum term by term and carries a rigorous
 enclosure for what it discarded, the naive rank oracle walks the recurrence
-one index at a time, and the support-exponent oracle reads each valuation off
-a p-adic square root of the discriminant instead of off the denominator.
+one index at a time, the support-exponent oracle reads each valuation off
+a p-adic square root of the discriminant instead of off the denominator, and
+the conductor oracles compute the discriminant of a defining polynomial by
+round two instead of reading the ramified primes off the root.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from lucasdensity.arith import (divisors, euler_phi, jacobi, moebius, prime_factors,
-                                smooth_numbers)
+from lucasdensity.arith import (divisors, euler_phi, factorize, jacobi, moebius,
+                                prime_factors, smooth_numbers)
+from lucasdensity.kummer import poly_field_disc, sqrt_data
 from lucasdensity.quadfield import QuadElem, _lift_root, _sqrt_mod_prime
 
 import math
@@ -89,8 +92,8 @@ def _sqrt_mod_prime_power(n: int, p: int, exp: int) -> int:
     return _lift_root(_sqrt_mod_prime(n, p), n % p ** exp, 2, p, exp)
 
 
-def padic_support_exponents(x: QuadElem) -> list[int]:
-    """|v_P(x)| over the split primes P of a norm-1 x, one p-adic embedding at a time.
+def padic_support_exponents(x: QuadElem) -> list[tuple[int, int]]:
+    """(p, |v_P(x)|) over the split primes P | p of a norm-1 x, one p-adic embedding at a time.
 
     For each split p | c, sqrt(D) is lifted mod p^(3*v_p(c) + 1) and the
     valuation of a + b*sqrt(D) under that embedding is compared with v_p(c).
@@ -111,5 +114,38 @@ def padic_support_exponents(x: QuadElem) -> list[int]:
         assert t != 0, "valuation exceeded its a-priori bound"
         k = _padic_valuation(t, p) - vc
         if k:
-            out.append(abs(k))
+            out.append((p, abs(k)))
     return out
+
+
+def integralize(poly: list[Fraction]) -> list[int]:
+    """Substitute Y = m*X with m minimal so the monic polynomial gets integer coefficients."""
+    n = len(poly) - 1
+    assert poly[-1] == 1
+    need: dict[int, int] = {}  # p -> max over coefficients of ceil(e / (n-i))
+    for i, c in enumerate(poly[:-1]):
+        for p, e in factorize(Fraction(c).denominator).pairs:
+            need[p] = max(need.get(p, 0), -(-e // (n - i)))
+    m = math.prod(p ** k for p, k in need.items())
+    return [int(Fraction(c) * m ** (n - i)) for i, c in enumerate(poly[:-1])] + [1]
+
+
+def reference_quartic_conductor(root: QuadElem) -> int:
+    """lcm(4, f) for the conductor f of the cyclic quartic field of X^4 - X^2 - c/4.
+
+    ``root`` is a norm-1 non-square over disc -4 and c = (u - 1)/2.  The field
+    discriminant is f^2 times that of its quadratic subfield Q(sqrt(c/-4)).
+    """
+    data = sqrt_data(root)
+    disc_f = poly_field_disc(integralize([-data.c / 4, Fraction(0), Fraction(-1),
+                                          Fraction(0), Fraction(1)]))
+    quotient, rem = divmod(disc_f, abs(data.delta2))
+    assert rem == 0 and quotient > 0 and math.isqrt(quotient) ** 2 == quotient, disc_f
+    return math.lcm(4, math.isqrt(quotient))
+
+
+def reference_cubic_conductor(root: QuadElem) -> int:
+    """Conductor of the cyclic cubic field of X^3 - 3X - 2u, for root = u + v*sqrt(-3)."""
+    disc_f = poly_field_disc(integralize([-2 * root.u, Fraction(-3), Fraction(0), Fraction(1)]))
+    assert disc_f > 0 and math.isqrt(disc_f) ** 2 == disc_f, disc_f
+    return math.isqrt(disc_f)

@@ -45,11 +45,13 @@ def test_is_probable_prime_matches_sieve_and_base_bounds():
     assert [n for n in range(limit) if is_probable_prime(n)] == [
         n for n in range(limit) if sieve[n]]
     # each bound is the least odd composite that passes the bases below it;
-    # the last one, 3317044064679887385961981, passes all 13 and ends the range
+    # the last one passes all 13, and only the strong Lucas test rejects it
     for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
-              341550071728321, 3825123056546413051, 318665857834031151167461):
+              341550071728321, 3825123056546413051, 318665857834031151167461,
+              3317044064679887385961981):
         assert not is_probable_prime(n), n
-    for n in (2**31 - 1, 2**61 - 1, 2**89 - 1):
+    # 10**25 + 349 is a prime whose Lucas test ends on V_k = 0 with r = 0
+    for n in (2**31 - 1, 2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1, 10**25 + 349):
         assert is_probable_prime(n), n
 
 

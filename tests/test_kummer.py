@@ -8,15 +8,10 @@ from fractions import Fraction
 import pytest
 
 from lucasdensity.arith import divisors, euler_phi, factorize
-from lucasdensity.errors import (
-    DegenerateError,
-    LucasDensityError,
-    ReducibleError,
-    ShapeError,
-)
+from lucasdensity.density import CASE_GAUSS, dispatch
+from lucasdensity.errors import DegenerateError, LucasDensityError, ReducibleError
 from lucasdensity.kummer import (
     _has_rational_root,
-    _integralize,
     _splits_into_quadratics,
     cubic_conductor,
     kummer_degree,
@@ -34,7 +29,10 @@ from lucasdensity.quadfield import (
     qf_inv,
     qf_mul,
     qf_pow,
+    torsion_units,
 )
+
+from oracles import integralize, reference_cubic_conductor, reference_quartic_conductor
 
 F = Fraction
 
@@ -310,10 +308,10 @@ def test_poly_field_disc_large_constant_term_is_quick():
 def test_integralize_scale_is_minimal():
     # m takes each prime to the largest power any one coefficient needs, not the
     # sum: 2 sits in the X and the constant term's denominators, 3 in X^2's only
-    assert _integralize([F(1, 8), F(1, 2), F(0), F(0), F(1)]) == [2, 4, 0, 0, 1]  # m = 2
-    assert _integralize([F(5, 16), F(1, 4), F(1, 6), F(0), F(1)]) == [405, 54, 6, 0, 1]  # m = 6
-    assert _integralize([F(-3, 2), F(-3), F(0), F(1)]) == [-12, -12, 0, 1]  # m = 2
-    assert _integralize([F(-7), F(0), F(-1), F(0), F(1)]) == [-7, 0, -1, 0, 1]  # m = 1
+    assert integralize([F(1, 8), F(1, 2), F(0), F(0), F(1)]) == [2, 4, 0, 0, 1]  # m = 2
+    assert integralize([F(5, 16), F(1, 4), F(1, 6), F(0), F(1)]) == [405, 54, 6, 0, 1]  # m = 6
+    assert integralize([F(-3, 2), F(-3), F(0), F(1)]) == [-12, -12, 0, 1]  # m = 2
+    assert integralize([F(-7), F(0), F(-1), F(0), F(1)]) == [-7, 0, -1, 0, 1]  # m = 1
 
 
 def test_poly_field_disc_rejects_bad_shape():
@@ -397,6 +395,72 @@ def test_conductors_pinned_on_large_denominators():
         assert cond.value == 3 ** cond.base_exponent * cond.squarefree_part
 
 
+def _residue_class(z):
+    """(u, 2v) mod 32 over disc -4, (u, v) mod 27 over disc -3: the 2- or 3-adic class of z."""
+    mod, scale = (32, 2) if z.disc_k == -4 else (27, 1)
+    return tuple(x.numerator * pow(x.denominator, -1, mod) % mod for x in (z.u, scale * z.v))
+
+
+def test_conductors_match_round_two_on_every_residue_class():
+    # by Hensel the 2- and 3-parts of the conductors depend only on these classes
+    for disc, n, conductor, reference, classes in (
+            (-4, 2, quartic_conductor, reference_quartic_conductor, 32),
+            (-3, 3, cubic_conductor, reference_cubic_conductor, 54)):
+        corpus = {}
+        for a in range(-27, 28):
+            for b in range(1, 28):
+                if a == 0:
+                    continue
+                w = QuadElem(disc, a, b)
+                for k in (1, 2):
+                    power = qf_pow(qf_mul(w, qf_inv(qf_conj(w))), k)
+                    for z in (power, -power):
+                        key = _residue_class(z)
+                        if key not in corpus and all(
+                                is_nth_power(qf_mul(t, z), n) is None for t in torsion_units(disc)):
+                            corpus[key] = z
+        assert len(corpus) == classes, disc
+        for z in corpus.values():
+            cond = conductor(z)
+            assert cond.value == reference(z), f"conductor of {z}"
+            assert cond.value == cond.base ** cond.base_exponent * cond.squarefree_part
+
+
+def test_conductors_reject_rational_roots():
+    # +-1 give no cyclic quartic or cubic field; the round-two path refused them too
+    for one in (F(1), F(-1)):
+        with pytest.raises(LucasDensityError, match="off Q"):
+            quartic_conductor(QuadElem(-4, one, 0))
+        with pytest.raises(LucasDensityError, match="off Q"):
+            cubic_conductor(QuadElem(-3, one, 0))
+
+
+def test_conductor_of_the_large_cubic_is_quick():
+    # the root behind the cubic X^3 + a1*X + a0 of the poly_field_disc test above,
+    # which is X^3 - 3X - 2u under X -> X/m: m^2 = -a1/3, u = -a0/(2 m^3), 3v^2 = 1 - u^2
+    a0 = -2938201594990690163854729250098422201045725639571347
+    a1 = -40750470537297516539384636215004907
+    m = math.isqrt(-a1 // 3)
+    assert 3 * m * m == -a1
+    u = F(-a0, 2 * m ** 3)
+    v2 = (1 - u * u) / 3
+    v = F(math.isqrt(v2.numerator), math.isqrt(v2.denominator))
+    assert v * v == v2
+    t0 = time.perf_counter()
+    cond = cubic_conductor(QuadElem(-3, u, v))
+    assert time.perf_counter() - t0 < 1.0
+    assert (cond.value, cond.base_exponent, cond.squarefree_part) == (4396203, 2, 488467)
+
+
+def test_gaussian_dispatch_with_large_coefficients_is_quick():
+    # round two on this root's quartic spent more than 60 s factoring its discriminant
+    w = QuadElem(-4, 123456789012, 98765432101)
+    t0 = time.perf_counter()
+    res = dispatch(qf_mul(w, qf_inv(qf_conj(w))), 8)
+    assert time.perf_counter() - t0 < 2.0
+    assert (res.delta, res.case_tag) == (F(1, 3), CASE_GAUSS)
+
+
 def _random_norm_one(rng, disc):
     """z = w / conj(w) for a random w; such quotients have norm 1 by construction."""
     while True:
@@ -414,7 +478,7 @@ def test_conductor_shapes_on_random_norm_one_inputs():
         z = _random_norm_one(rng, -4)
         if is_nth_power(z, 2) is not None:
             continue
-        cond = quartic_conductor(z)  # ShapeError would fail the test
+        cond = quartic_conductor(z)
         assert cond.value == 2 ** cond.base_exponent * cond.squarefree_part
         assert cond.base_exponent in (2, 3, 4)
         assert cond.squarefree_part % 2 == 1

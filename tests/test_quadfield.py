@@ -49,7 +49,7 @@ _OPTIMIZED_CHECK = """
 from fractions import Fraction
 from lucasdensity import (DensityResult, EmpiricalReport, Interval, LucasDensityError,
                           QuadElem, STerm, dispatch, power_index)
-from lucasdensity.kummer import sqrt_data
+from lucasdensity.kummer import cubic_conductor, quartic_conductor, sqrt_data
 calls = [lambda disc=disc: dispatch(QuadElem(disc, 1, 1), 2) for disc in (7, 0, 9, 4)]
 calls.append(lambda: power_index(QuadElem(5, 2, 0)))
 calls.append(lambda: dispatch(QuadElem(20, Fraction(-3, 2), Fraction(-1, 4)), 2))
@@ -59,6 +59,8 @@ calls.append(lambda: DensityResult(Fraction(2), Fraction(1), Fraction(1), "t", (
 calls.append(lambda: EmpiricalReport(1, -1, 2, 10, 3, 1, 1, 5, Fraction(3, 5),
                                      Fraction(1, 5), Fraction(1, 5)))
 calls.append(lambda: sqrt_data(QuadElem(5, 3, 1)))
+calls.append(lambda: cubic_conductor(QuadElem(-4, Fraction(-3, 5), Fraction(2, 5))))
+calls.append(lambda: quartic_conductor(QuadElem(-3, Fraction(-13, 14), Fraction(3, 14))))
 for call in calls:
     try:
         call()
@@ -88,6 +90,10 @@ def test_quad_elem_validation_survives_optimize_flag():
         "LucasDensityError EmpiricalReport.counted=3 differs from counted_plus"
         " + counted_minus = 2",
         "LucasDensityError sqrt_data needs a root of norm +-1, got 3+1*sqrt(5) of norm 4",
+        "LucasDensityError cubic_conductor needs a norm-1 root over disc -3 off Q,"
+        " got (-3+2*sqrt(-4))/5",
+        "LucasDensityError quartic_conductor needs a norm-1 root over disc -4 off Q,"
+        " got (-13+3*sqrt(-3))/14",
     ]
 
 
@@ -98,6 +104,21 @@ def test_import_does_not_load_mpmath():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, lucasdensity, lucasdensity.cli; print('mpmath' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_exact_layer_does_not_load_numpy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, lucasdensity, lucasdensity.cli\n"
+         "for a1, a2 in ((1, -1), (2, 5), (1, 7)):\n"
+         "    lucasdensity.dispatch(lucasdensity.make_context(a1, a2), 12)\n"
+         "print('numpy' in sys.modules)"],
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
