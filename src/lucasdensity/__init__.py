@@ -4,7 +4,6 @@ from .density import (
     REFERENCE_PROFILES,
     REFERENCE_ROWS,
     DensityResult,
-    Interval,
     STerm,
     dispatch,
     normal_form,
@@ -50,7 +49,6 @@ __all__ = [
     "DivisionByZeroError",
     "EmpiricalReport",
     "HypothesisError",
-    "Interval",
     "LimitError",
     "LucasDensityError",
     "OracleMismatchError",

@@ -15,7 +15,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 from .errors import LucasDensityError
 
@@ -289,37 +288,3 @@ def jacobi(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
-
-
-def smooth_numbers(d: int, bound: int) -> list[int]:
-    """Sorted v with v | d^inf and v <= bound (the divisors of the supernatural d^inf)."""
-    primes = prime_factors(d) if d > 1 else []
-    out = [1]
-    for p in primes:
-        fresh = []
-        for v in out:
-            w = v * p
-            while w <= bound:
-                fresh.append(w)
-                w *= p
-        out += fresh
-    return sorted(out)
-
-
-def iter_smooth(d: int) -> Iterator[int]:
-    """Yield v | d^inf in increasing order, forever (heap merge)."""
-    import heapq
-
-    primes = prime_factors(d) if d > 1 else []
-    if not primes:
-        yield 1
-        return
-    heap = [1]
-    seen = {1}
-    while True:
-        v = heapq.heappop(heap)
-        yield v
-        for p in primes:
-            if v * p not in seen:
-                seen.add(v * p)
-                heapq.heappush(heap, v * p)

@@ -147,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_density.add_argument(
         "--oracle-check",
         action="store_true",
-        help="also certify the value against the direct series enclosure",
+        help="also certify the value against the exact sum of the defining series",
     )
 
     p_verify = subs.add_parser("verify", help="empirical ratio against the exact value")
@@ -229,14 +229,14 @@ def cmd_density(args: argparse.Namespace) -> int:
     if args.oracle_check:
         norm = normal_form(target)
         reference = dispatch(norm, args.d)
-        interval = series_oracle(norm, args.d)
-        inside = interval.contains(reference.delta)
+        series = series_oracle(norm, args.d)
+        equal = series == reference.delta
         print(
             "oracle check (h-normalized element): delta "
-            f"{_rat(reference.delta)} in [{_decimal6(interval.lo)}, {_decimal6(interval.hi)}]: "
-            f"{'contained' if inside else 'NOT CONTAINED'}"
+            f"{_rat(reference.delta)}, series sum {_rat(series)}: "
+            f"{'equal' if equal else 'NOT EQUAL'}"
         )
-        if not inside:
+        if not equal:
             return EXIT_INCONSISTENT
     return EXIT_OK
 

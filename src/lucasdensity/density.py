@@ -2,8 +2,8 @@
 
 Everything here is exact rational arithmetic: the closed-form S sums, the
 per-case density formulas, the recursive dispatcher over the torsion twist of
-the root quotient, and a rigorous interval oracle obtained by truncating the
-defining degree/fixed-point series.  No floats anywhere.
+the root quotient, and an independent oracle that sums the defining
+degree/fixed-point series exactly, in finitely many terms.  No floats anywhere.
 
 Each base case is a table of term rows (e, nu, coeff_plus, coeff_minus): the
 density is sum (coeff_plus + coeff_minus) * S_{d,e,h}(nu), and delta_plus and
@@ -26,7 +26,6 @@ from .arith import (
     euler_phi,
     factorize,
     gcd_power_infinity,
-    iter_smooth,
     moebius,
     prime_factors,
 )
@@ -66,8 +65,6 @@ CASE_SWITCH = "SWITCH_MINUS1"
 CASE_GAUSS_HI = "GAUSS_HI"
 CASE_EISEN_HOMEGA = "EISEN_HOMEGA"
 CASE_ODD_GENERIC = "ODD_GENERIC"
-
-DEFAULT_ORACLE_CUTOFF = 10_000
 
 _ZETA_LABELS = {
     -4: ("1", "i", "-1", "-i"),
@@ -115,27 +112,6 @@ class STerm:
     @property
     def contribution(self) -> Fraction:
         return self.coefficient * self.value
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Closed rational interval [lo, hi]."""
-
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self) -> None:
-        for name in ("lo", "hi"):
-            if not isinstance(getattr(self, name), Fraction):
-                raise LucasDensityError(f"Interval.{name} must be a Fraction, got {getattr(self, name)!r}")
-        if self.lo > self.hi:
-            raise LucasDensityError(f"Interval.lo={self.lo} exceeds Interval.hi={self.hi}")
-
-    def contains(self, x: Rat) -> bool:
-        return self.lo <= x <= self.hi
-
-    def width(self) -> Fraction:
-        return self.hi - self.lo
 
 
 @dataclass(frozen=True)
@@ -267,47 +243,76 @@ def kummer_profile(gamma: QuadElem) -> KummerProfile:
 # series oracle
 
 
-def series_oracle(
-    target: Target, d: int, cutoff: int = DEFAULT_ORACLE_CUTOFF
-) -> Interval:
-    """Rigorous enclosure of the density from the defining double series.
+def _valuation(n: int, p: int) -> int:
+    n, k = abs(n), 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return k
 
-    Exact partial sum over v | d^inf up to `cutoff`, plus a closed-form bound
-    on the dropped tail coming from the uniform lower bound on the degrees
-    [K_{dv,uv} : Q] >= phi(d) * v * uv / ((uv,h) * #mu(K) * 2).
-    The partial sums are exact integer numerators over a running lcm of the
-    denominators; each becomes a Fraction once, at the end.
-    The element must be in normal form (see normal_form).
+
+def _stable_exponents(profile: KummerProfile, d: int) -> list[tuple[int, int]]:
+    """(p, T_p) for each prime p | d, where T_p = max v_p over the fixed integers.
+
+    The fixed integers are 16h, 27h, disc_k, delta1, delta2, the conductor and
+    #mu(K); T_p = 0 marks a prime that divides none of them.
+    """
+    pix, sq, cond = profile.pix, profile.sqrt, profile.cond
+    fixed = [16 * pix.h, 27 * pix.h, profile.gamma.disc_k, len(pix.table)]
+    if sq.q_flag:
+        fixed += [sq.delta1, sq.delta2]
+    if cond is not None:
+        fixed.append(cond.value)
+    return [(p, max(_valuation(x, p) for x in fixed)) for p in prime_factors(d)]
+
+
+def series_oracle(target: Target, d: int) -> Fraction:
+    """The density as the exact sum of the defining double series.
+
+    delta = sum over v | d^inf and u | d of mu(u) * (1 + sigma(dv, uv)) / [K_{dv,uv} : Q]
+    (Moree and Stevenhagen's Kummer-degree summation).  Every prime of v
+    divides d, so phi(dv) = phi(d) * v and the degree is v^2 times a factor that
+    sees v only through the tests in kummer_degree, _membership and
+    sigma_exists.  Those compare dv and uv with fixed integers: disc_k, delta1,
+    delta2, the conductor, #mu(K), gcd(uv, h), and m * h_m for m | #mu(K), where
+    h_m is the m-smooth part of h.  As v_2(4 * h_4) = 2 + v_2(h) and
+    v_3(6 * h_6) = 1 + v_3(h), the set holds 16h and 27h (h, 16 and 27 apart
+    would miss the t-test for v_2(h) >= 3).  Once a_p = v_p(v) reaches
+    T_p = max v_p over the set, no outcome changes and each further step
+    divides the term by p^2: a_p runs over 0..T_p, the top value weighted
+    p^2 / (p^2 - 1).  A prime p | d with T_p = 0 never changes a test; its sum
+    over a_p and over the p-part of u is the Euler factor
+    (1 - 1/p) * p^2 / (p^2 - 1) = p / (p + 1).
+    The terms are summed as integer numerators over a running lcm of the
+    denominators.  The element must be in normal form (see normal_form).
     """
     gamma = _gamma_of(target)
-    _validate_positive(d=d, cutoff=cutoff)
+    _validate_positive(d=d)
     profile = kummer_profile(gamma)
     pix, sq, cond = profile.pix, profile.sqrt, profile.cond
-    sq_free = [(u, mu) for u in divisors(d) if (mu := moebius(u))]
 
-    num, den = 0, 1  # partial = num / den
-    t_num, t_den = 0, 1  # t_part = t_num / t_den
-    for v in iter_smooth(d):
-        if v > cutoff:
-            break
-        step = math.lcm(t_den, v * v)
-        t_num, t_den = t_num * (step // t_den) + step // (v * v), step
+    # (v, w): w = prod over live p of p^2 if a_p = T_p else p^2 - 1, so the
+    # weight of v is w / scale
+    vs, scale, live = [(1, 1)], 1, 1
+    euler = Fraction(1)
+    for p, top in _stable_exponents(profile, d):
+        if top == 0:
+            euler *= Fraction(p, p + 1)
+            continue
+        live *= p
+        scale *= p * p - 1
+        vs = [(v * p ** a, w * (p * p if a == top else p * p - 1))
+              for v, w in vs for a in range(top + 1)]
+    sq_free = [(u, mu) for u in divisors(live) if (mu := moebius(u))]
+
+    num, den = 0, 1
+    for v, w in vs:
         for u, mu in sq_free:
             deg = kummer_degree(d * v, u * v, pix, sq, cond)
-            hit = 1 + (1 if sigma_exists(d * v, u * v, gamma.disc_k, pix, sq) else 0)
+            hit = 1 + sigma_exists(d * v, u * v, gamma.disc_k, pix, sq)
             step = math.lcm(den, deg)
-            num, den = num * (step // den) + mu * hit * (step // deg), step
-    partial = Fraction(num, den)
-    t_part = Fraction(t_num, t_den)
-
-    t_tot = Fraction(1)
-    for p in prime_factors(d):
-        t_tot *= Fraction(p * p, p * p - 1)
-    n_mu = len(pix.table)
-    bound = Fraction(2 ** len(prime_factors(d)) * 2 * n_mu * pix.h, euler_phi(d))
-    tail = bound * (t_tot - t_part)
-    assert tail >= 0
-    return Interval(partial - tail, partial + tail)
+            num, den = num * (step // den) + mu * hit * w * (step // deg), step
+    return euler * Fraction(num, den * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -457,10 +462,10 @@ def delta_odd_generic(d: int, profile: KummerProfile) -> DensityResult:
         e = _hat(disc, d)
         rows = [(1, 1, _HALF, _HALF), (e, 1, _HALF, _HALF if disc < 0 else -_HALF)]
     result = _from_terms(d, profile, rows, CASE_ODD_GENERIC, _echo_base(profile, e=e))
-    witness = series_oracle(profile.gamma, d)
-    if not witness.contains(result.delta):
+    series = series_oracle(profile.gamma, d)
+    if series != result.delta:
         raise OracleMismatchError(
-            f"closed form {result.delta} escapes [{witness.lo}, {witness.hi}] "
+            f"closed form {result.delta} differs from the series sum {series} "
             f"for d={d}, element {profile.gamma}"
         )
     return result

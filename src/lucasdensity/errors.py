@@ -38,7 +38,7 @@ class HypothesisError(LucasDensityError):
 
 
 class OracleMismatchError(LucasDensityError):
-    """A closed-form value fell outside the rigorous series-oracle interval."""
+    """A closed-form value differs from the exact sum of the defining series."""
 
 
 class UnreachableCaseError(LucasDensityError):

@@ -445,10 +445,12 @@ def _membership(m: int, n: int, sqrt: SqrtData, cond: Optional[ConductorData]) -
     if m == 2:
         return sqrt.q_flag and (n % abs(sqrt.delta1) == 0 or n % abs(sqrt.delta2) == 0)
     if m == 4:
-        assert cond is not None and cond.base == 2, "quartic conductor required"
+        if cond is None or cond.base != 2:
+            raise LucasDensityError(f"the 4-twisted root needs a quartic conductor, got {cond}")
         return _membership(2, n, sqrt, cond) and math.lcm(4, n) % cond.value == 0
     if m == 3:
-        assert cond is not None and cond.base == 3, "cubic conductor required"
+        if cond is None or cond.base != 3:
+            raise LucasDensityError(f"the 3-twisted root needs a cubic conductor, got {cond}")
         return n % cond.value == 0
     assert m == 6
     return _membership(2, n, sqrt, cond) and _membership(3, n, sqrt, cond)
@@ -465,7 +467,10 @@ def kummer_degree(
     if n < 1 or dd < 1 or n % dd:
         raise LucasDensityError(f"need dd | n, got dd={dd}, n={n}")
     h = pix.table[0]
-    assert pix.h == h, "degree formula requires h = h(1); renormalise the context first"
+    if pix.h != h:
+        raise LucasDensityError(
+            f"kummer_degree needs h = h(1), got h(1) = {h} and h = {pix.h} at twist exponent"
+            f" {pix.zeta_star_exp}; pass the power index of the normal form {pix.gamma_tilde}")
     t = 1
     for m in divisors(len(pix.table)):
         # h_m is the m-smooth part of h: the saturation depth at which the

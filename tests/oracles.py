@@ -1,56 +1,53 @@
 """Independent brute-force references used by the test suite.
 
 These deliberately avoid the closed forms in the package: the S-sum oracle
-enumerates the defining double sum term by term and carries a rigorous
-enclosure for what it discarded, the naive rank oracle walks the recurrence
-one index at a time, the support-exponent oracle reads each valuation off
-a p-adic square root of the discriminant instead of off the denominator, and
-the conductor oracles compute the discriminant of a defining polynomial by
-round two instead of reading the ramified primes off the root.
+enumerates the defining double sum term by term, each exponent of v up to
+the point past which the terms form a geometric series, the naive rank
+oracle walks the recurrence one index at a time, the support-exponent oracle
+reads each valuation off a p-adic square root of the discriminant instead of
+off the denominator, and the conductor oracles compute the discriminant of a
+defining polynomial by round two instead of reading the ramified primes off
+the root.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from lucasdensity.arith import (divisors, euler_phi, factorize, jacobi, moebius,
-                                prime_factors, smooth_numbers)
+from lucasdensity.arith import divisors, euler_phi, factorize, jacobi, moebius, prime_factors
 from lucasdensity.kummer import poly_field_disc, sqrt_data
 from lucasdensity.quadfield import QuadElem, _lift_root, _sqrt_mod_prime
 
 import math
 
 
-def brute_s_sum(d: int, e: int, h: int, nu: int, cutoff: int = 30_000):
-    """Truncated double sum over v | d^inf (e | v) and u | d, with tail bound.
+def brute_s_sum(d: int, e: int, h: int, nu: int) -> Fraction:
+    """The double sum over v | d^inf (e | v) and u | d (nu | uv), summed exactly.
 
-    Returns (partial, tail) with the true sum guaranteed inside
-    [partial - tail, partial + tail].  The tail bound uses
-    |inner term at v| <= h * sigma_{-1}(d) / (phi(d) * v^2), summed in closed
-    form over the d-smooth v beyond the cutoff.
+    Its term is mu(u) * gcd(uv, h) / (phi(dv) * uv).  Every prime of v divides
+    d, so phi(dv) = phi(d) * v and the term sees a_p = v_p(v) only through
+    e | v, nu | uv and gcd(uv, h).  Once a_p reaches
+    T_p = max(v_p(e), v_p(nu), v_p(h)) each further step divides the term by
+    p^2, so a_p runs over 0..T_p and the top value carries the whole geometric
+    tail, the weight p^2 / (p^2 - 1).  For a prime dividing none of e, nu, h
+    that is T_p = 0: the Euler factor comes out of the enumeration over u.
     """
-    partial = Fraction(0)
+    vs = [(1, Fraction(1))]
+    for p in prime_factors(d):
+        top = max(_padic_valuation(x, p) for x in (e, nu, h))
+        vs = [(v * p ** a, w * (Fraction(p * p, p * p - 1) if a == top else 1))
+              for v, w in vs for a in range(top + 1)]
     ds = divisors(d)
-    mus = {u: moebius(u) for u in ds}
-    covered = Fraction(0)  # sum of 1/v^2 over enumerated v, e | v or not
-    for v in smooth_numbers(d, cutoff):
-        covered += Fraction(1, v * v)
+    total = Fraction(0)
+    for v, w in vs:
         if v % e:
             continue
         phi_dv = euler_phi(d * v)
         for u in ds:
             if (u * v) % nu:
                 continue
-            partial += Fraction(
-                mus[u] * math.gcd(u * v, h), phi_dv * u * v
-            )
-    total = Fraction(1)
-    for p in prime_factors(d):
-        total *= Fraction(p * p, p * p - 1)
-    sigma_ratio = sum(Fraction(1, u) for u in ds)
-    tail = Fraction(h) * sigma_ratio / euler_phi(d) * (total - covered)
-    assert tail >= 0
-    return partial, tail
+            total += w * Fraction(moebius(u) * math.gcd(u * v, h), phi_dv * u * v)
+    return total
 
 
 def naive_rank(p: int, a1: int, a2: int, bound: int | None = None) -> int:

@@ -1,4 +1,3 @@
-import itertools
 import math
 from fractions import Fraction
 
@@ -12,11 +11,9 @@ from lucasdensity.arith import (
     factorize,
     gcd_power_infinity,
     is_probable_prime,
-    iter_smooth,
     jacobi,
     moebius,
     prime_factors,
-    smooth_numbers,
     squarefree_kernel,
 )
 from lucasdensity.errors import LucasDensityError
@@ -159,10 +156,3 @@ def test_divisors_and_multiplicative():
 def test_totient_divisor_sum(n):
     assert sum(euler_phi(d) for d in divisors(n)) == n
     assert sum(moebius(d) for d in divisors(n)) == (1 if n == 1 else 0)
-
-
-def test_smooth_numbers():
-    assert smooth_numbers(6, 20) == [1, 2, 3, 4, 6, 8, 9, 12, 16, 18]
-    assert smooth_numbers(1, 100) == [1]
-    assert list(itertools.islice(iter_smooth(10), 8)) == [1, 2, 4, 5, 8, 10, 16, 20]
-    assert list(iter_smooth(1)) == [1]

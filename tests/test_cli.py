@@ -116,7 +116,7 @@ def test_density_oracle_check(capsys):
         capsys, "density", "--a1", "1", "--a2", "-1", "--d", "2", "--oracle-check"
     )
     assert code == 0
-    assert "contained" in out
+    assert out.rstrip().endswith(": equal")
 
 
 # ---------------------------------------------------------------------------

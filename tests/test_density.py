@@ -1,17 +1,20 @@
 """Tests for the closed-form density layer: inner sums, case routing, tables."""
 
 import hashlib
+import math
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
+from lucasdensity.arith import divisors, moebius
 from lucasdensity.density import (
     CASE_EISEN,
     CASE_EISEN_HOMEGA,
     CASE_GAUSS,
     CASE_GAUSS_HI,
+    CASE_ODD_GENERIC,
     CASE_Q0,
     CASE_Q1_IMAG,
     CASE_SWITCH,
@@ -19,6 +22,8 @@ from lucasdensity.density import (
     REFERENCE_ROWS,
     DensityResult,
     _pix,
+    _stable_exponents,
+    _valuation,
     dispatch,
     kummer_profile,
     normal_form,
@@ -29,9 +34,11 @@ from lucasdensity.errors import (
     CaseError,
     HypothesisError,
     LucasDensityError,
+    OracleMismatchError,
     ReducibleError,
     TorsionError,
 )
+from lucasdensity.kummer import kummer_degree, sigma_exists
 from lucasdensity.quadfield import (
     QuadElem,
     make_context,
@@ -105,8 +112,7 @@ def test_s_eval_matches_brute_series():
         if nu % gcd_power_infinity(h, nu):
             continue
         closed = s_eval(d, e, h, nu)
-        partial, tail = brute_s_sum(d, e, h, nu, cutoff=20_000)
-        assert abs(closed - partial) <= tail, (d, e, h, nu)
+        assert closed == brute_s_sum(d, e, h, nu), (d, e, h, nu)
         checked += 1
     assert checked >= 25
 
@@ -279,7 +285,7 @@ def test_result_shape():
 
 
 # ---------------------------------------------------------------------------
-# certified series enclosure vs the closed forms
+# exact series sum vs the closed forms
 # ---------------------------------------------------------------------------
 
 
@@ -293,9 +299,7 @@ def test_oracle_contains_closed_forms():
             continue
         seen.add(key)
         closed = dispatch(norm, row.d)
-        box = series_oracle(norm, row.d, cutoff=10_000)
-        assert box.contains(closed.delta), key
-        assert box.width() < 1e-3, key
+        assert series_oracle(norm, row.d) == closed.delta, key
     assert time.monotonic() - t0 < 30
 
 
@@ -314,7 +318,7 @@ def test_oracle_rejects_twisted_element_with_typed_error():
     assert not isinstance(info.value, CaseError)
     assert str(ctx.gamma) in str(info.value)
     norm = normal_form(ctx)
-    assert series_oracle(norm, 2).contains(dispatch(norm, 2).delta)
+    assert series_oracle(norm, 2) == dispatch(norm, 2).delta
     row = REFERENCE_ROWS[8]  # a twisted Gaussian element: normalising changes the density
     assert dispatch(normal_form(row.gamma), row.d).delta == Fraction(5, 144) != row.delta
 
@@ -334,25 +338,91 @@ def test_large_pair_finishes_quickly():
 
 def test_oracle_narrow_on_trivial_divisor():
     gamma = REFERENCE_ROWS[0].gamma
-    box = series_oracle(gamma, 1, cutoff=100)
-    assert box.contains(F(1))
-    assert box.width() == 0  # no tail: the v-series over 1^inf is a single term
-
-
-# sha256 over repr(lo)|repr(hi) of every enclosure below, recorded from the
-# Fraction-accumulated oracle before its sums moved to integer numerators
-ORACLE_DIGEST = "64922225edf614a9374a6bc69551fd3052b8cf41de6989e2ba626f93ac0f36aa"
+    # the v-series over 1^inf is the single term v = 1
+    assert series_oracle(gamma, 1) == 1
 
 
 def test_oracle_enclosures_pinned():
-    digest = hashlib.sha256()
+    # every profile's series sum is its closed form, odd and even d alike
     for exp in REFERENCE_PROFILES:
         norm = normal_form(exp.gamma)
         for d in range(1, 61):
-            for cutoff in (100, 10_000):
-                box = series_oracle(norm, d, cutoff)
-                digest.update(f"{box.lo!r}|{box.hi!r}\n".encode())
-    assert digest.hexdigest() == ORACLE_DIGEST
+            assert series_oracle(norm, d) == dispatch(norm, d).delta, (norm, d)
+
+
+def _series_term(profile, d: int, v: int) -> Fraction:
+    """Sum over u | d of mu(u) * (1 + sigma(dv, uv)) / [K_{dv,uv} : Q]: the v-th term."""
+    gamma, pix, sq, cond = profile.gamma, profile.pix, profile.sqrt, profile.cond
+    return sum((F(moebius(u) * (1 + sigma_exists(d * v, u * v, gamma.disc_k, pix, sq)),
+                  kummer_degree(d * v, u * v, pix, sq, cond)) for u in divisors(d)), F(0))
+
+
+def _high_powers(disc: int, exponents) -> list:
+    return [normal_form(qf_pow(exp.gamma, k)) for exp in REFERENCE_PROFILES
+            if exp.gamma.disc_k == disc for k in exponents]
+
+
+def test_series_terms_geometric_past_threshold():
+    # Gaussian forms with v2(h) >= 4 are the ones a threshold set with h, 16
+    # and 27 kept apart gets wrong: the t-test compares uv with 4 * h_4
+    gauss_hi = _high_powers(-4, (8, 16))
+    assert max(_pix(g).h for g in gauss_hi) >= 16
+    corpus = [(g, d) for g in gauss_hi for d in (10, 26)]
+    corpus += [(g, d) for g in _high_powers(-3, (9, 27)) for d in (15, 21)]
+    rng = random.Random(1103)
+    elements = [normal_form(exp.gamma) for exp in REFERENCE_PROFILES]
+    while len(elements) < 21:
+        try:
+            elements.append(normal_form(make_context(rng.randint(-60, 60), rng.randint(-60, 60))))
+        except LucasDensityError:
+            continue
+    corpus += [(g, rng.randint(1, 60)) for g in elements for _ in range(3)]
+    checked = 0
+    for gamma, d in corpus:
+        profile = kummer_profile(gamma)
+        tops = _stable_exponents(profile, d)
+        # the other exponents at 0 and at their thresholds
+        for base in (1, math.prod(p ** top for p, top in tops)):
+            for p, top in tops:
+                v = base // p ** _valuation(base, p) * p ** top
+                assert _series_term(profile, d, v * p) == _series_term(profile, d, v) / (p * p), (
+                    gamma, d, p, top)
+                checked += 1
+    assert checked > 100
+
+
+def test_series_sum_on_high_powers():
+    for gamma in _high_powers(-4, (8, 16)) + _high_powers(-3, (9, 27)):
+        for d in range(1, 61):
+            assert series_oracle(gamma, d) == dispatch(gamma, d).delta, (gamma, d)
+
+
+def test_series_euler_factor_primes_pinned():
+    # the Fibonacci normal form (3 + sqrt 5)/2: h = 2, disc 5, and its square
+    # root has norm -1, so the fixed integers are 32, 54, 5 and #mu = 2
+    profile = kummer_profile(normal_form(make_context(1, -1)))
+    assert (profile.h, profile.sqrt.q_flag, profile.cond) == (2, False, None)
+    d = 2 * 3 * 5 * 7 * 11 * 13
+    assert _stable_exponents(profile, d) == [(2, 5), (3, 3), (5, 1), (7, 0), (11, 0), (13, 0)]
+
+
+def test_oracle_mismatch_names_both_values(monkeypatch):
+    gamma = normal_form(make_context(1, -1))
+    monkeypatch.setattr("lucasdensity.density.series_oracle", lambda target, d: F(1, 7))
+    with pytest.raises(OracleMismatchError) as info:
+        dispatch(gamma, 3)
+    assert str(info.value) == ("closed form 3/8 differs from the series sum 1/7"
+                               f" for d=3, element {gamma}")
+
+
+def test_many_prime_divisor_finishes_quickly():
+    gamma = normal_form(make_context(1, -1))
+    d = math.prod((3, 5, 7, 11, 13, 17, 19, 23, 29, 31))
+    t0 = time.perf_counter()
+    res = dispatch(gamma, d)
+    assert time.perf_counter() - t0 < 1.0
+    assert res.case_tag == CASE_ODD_GENERIC
+    assert res.delta == series_oracle(gamma, d) == F(86822723, 7101178668122112000)
 
 
 # sha256 over test_golden._canonical for d in 1..60 of four Eisenstein elements

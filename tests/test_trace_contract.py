@@ -40,7 +40,7 @@ def test_tracing_sees_the_cached_factorize():
         assert "lucasdensity.arith.factorize" in harness.install(tracer)
         lucasdensity.arith.factorize(2**5 * 3**7 * 1_000_003)
         # through the module binding, the one the tracer replaced
-        lucasdensity.density.series_oracle(normal_form(REFERENCE_PROFILES[0].gamma), 12, 100)
+        lucasdensity.density.series_oracle(normal_form(REFERENCE_PROFILES[0].gamma), 12)
     finally:
         for name, values in saved.items():
             for binding, value in values.items():
