@@ -11,7 +11,6 @@ from .density import (
     series_oracle,
 )
 from .errors import (
-    CaseError,
     DegenerateError,
     DiscMismatchError,
     DivisionByZeroError,
@@ -42,7 +41,6 @@ from .quadfield import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CaseError",
     "DegenerateError",
     "DensityResult",
     "DiscMismatchError",

@@ -5,11 +5,14 @@ per-case density formulas, the recursive dispatcher over the torsion twist of
 the root quotient, and an independent oracle that sums the defining
 degree/fixed-point series exactly, in finitely many terms.  No floats anywhere.
 
-Each base case is a table of term rows (e, nu, coeff_plus, coeff_minus): the
-density is sum (coeff_plus + coeff_minus) * S_{d,e,h}(nu), and delta_plus and
-delta_minus (split and inert primes) are the sums with one weight each.  The
-trace lists every nonzero S value with its total weight.  The twisted cases
-rescale or combine the results of base cases.
+The case layer has three pieces.  _normal picks, by field and by d, the term
+rows (e, nu, coeff_plus, coeff_minus) of a normal form: the density is
+sum (coeff_plus + coeff_minus) * S_{d,e,h}(nu), and delta_plus and delta_minus
+(split and inert primes) are the sums with one weight each.  The trace lists
+every nonzero S value with its total weight.  _hi_twist rescales _normal for a
+twist by a primitive fourth or cube root of unity, from one (q, c, K) entry per
+field, and _dispatch folds -1 and the sixth roots into the sign-switched
+element by inclusion-exclusion.
 """
 
 from __future__ import annotations
@@ -18,19 +21,17 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Union
 
 from .arith import (
     divides_power_infinity,
     divisors,
     euler_phi,
-    factorize,
     gcd_power_infinity,
     moebius,
     prime_factors,
 )
 from .errors import (
-    CaseError,
     HypothesisError,
     LucasDensityError,
     OracleMismatchError,
@@ -327,290 +328,178 @@ def _hat(n: int, d: int) -> int:
     return abs(n) // math.gcd(d, abs(n))
 
 
-def _result(
-    delta_plus: Fraction,
-    delta_minus: Fraction,
-    tag: str,
-    trace: tuple,
-    echo: dict,
-) -> DensityResult:
-    return DensityResult(delta_plus + delta_minus, delta_plus, delta_minus, tag, trace, echo)
+def _result(dplus: Fraction, dminus: Fraction, tag: str, trace: tuple, echo: dict) -> DensityResult:
+    return DensityResult(dplus + dminus, dplus, dminus, tag, trace, echo)
 
 
-def _from_terms(
-    d: int, profile: KummerProfile, rows: Sequence[tuple], tag: str, echo: dict
-) -> DensityResult:
-    """Evaluate term rows (e, nu, coeff_plus, coeff_minus) of S_{d,e,h}(nu).
-
-    delta_plus and delta_minus are the row-weighted sums; the trace lists every
-    nonzero S value with the total weight coeff_plus + coeff_minus.
-    """
-    h = profile.h
-    dplus = dminus = Fraction(0)
-    trace = []
-    for e, nu, c_plus, c_minus in rows:
-        value = s_eval(d, e, h, nu)
-        if value:
-            dplus += c_plus * value
-            dminus += c_minus * value
-            trace.append(STerm(d, e, h, nu, Fraction(c_plus + c_minus), value))
-    return _result(dplus, dminus, tag, tuple(trace), echo)
+def _scaled(inner: DensityResult, factor: Fraction) -> tuple:
+    return tuple(STerm(t.d, t.e, t.h, t.nu, t.coefficient * factor, t.value) for t in inner.trace)
 
 
 def _echo_base(profile: KummerProfile, **extra) -> dict:
-    echo = {
-        "h": profile.h,
-        "zeta_star": zeta_label(profile.gamma.disc_k, profile.pix.zeta_star_exp),
-        "q": 0 if not profile.sqrt.q_flag else 1,
-    }
-    if profile.sqrt.q_flag:
-        echo["delta1"] = profile.sqrt.delta1
-        echo["delta2"] = profile.sqrt.delta2
+    pix, sq = profile.pix, profile.sqrt
+    echo = {"h": pix.h, "zeta_star": zeta_label(pix.disc_k, pix.zeta_star_exp), "q": int(sq.q_flag)}
+    if sq.q_flag:
+        echo.update(delta1=sq.delta1, delta2=sq.delta2)
     if profile.cond is not None:
         echo["conductor"] = profile.cond.value
     echo.update(extra)
     return echo
 
 
-def delta_q0(d: int, profile: KummerProfile) -> DensityResult:
-    """Real field, fundamental-unit square root of norm -1, even d."""
-    disc = profile.gamma.disc_k
-    if profile.sqrt.q_flag or disc < 0 or d % 2 or profile.h % 2:
-        raise CaseError(f"q0 preconditions fail for disc {disc}, d={d}")
-    e = _hat(disc, d)
-    # the twisted sum enters the minus part only when (h, 2^inf) does not divide e
-    twisted_minus = -Fraction(3, 2) if e % gcd_power_infinity(profile.h, 2) else 0
-    rows = [(1, 1, _HALF, Fraction(3, 2)), (e, 1, _HALF, twisted_minus)]
-    return _from_terms(d, profile, rows, CASE_Q0, _echo_base(profile, e=e))
+def _normal(d: int, profile: KummerProfile) -> DensityResult:
+    """Density of a normal form at d, from its term rows (e, nu, coeff_plus, coeff_minus).
 
-
-def delta_q1(d: int, profile: KummerProfile) -> DensityResult:
-    """Norm-one square root, field neither Gaussian nor Eisenstein, even d."""
-    disc = profile.gamma.disc_k
-    if not profile.sqrt.q_flag or disc in (-3, -4) or d % 2:
-        raise CaseError(f"q1 preconditions fail for disc {disc}, d={d}")
-    e = _hat(disc, d)
-    e1 = _hat(profile.sqrt.delta1, d)
-    e2 = _hat(profile.sqrt.delta2, d)
-    nu2 = 2 * gcd_power_infinity(profile.h, 2)
-    if disc < 0:
-        tag, minus = CASE_Q1_IMAG, (_HALF, _HALF, _HALF, _HALF)
-    else:
-        # the sign of c decides which square-root term the inert primes take
-        half_sign = -_HALF if profile.sqrt.c_positive else _HALF
-        tag, minus = CASE_Q1_REAL, (_HALF, -_HALF, half_sign, -half_sign)
-    rows = [
-        (1, 1, _HALF, minus[0]),
-        (e, 1, _HALF, minus[1]),
-        (e1, nu2, _HALF, minus[2]),
-        (e2, nu2, _HALF, minus[3]),
-    ]
-    return _from_terms(d, profile, rows, tag, _echo_base(profile, e=e, e1=e1, e2=e2))
-
-
-def delta_gauss(d: int, profile: KummerProfile) -> DensityResult:
-    """Gaussian field, normal form, even d."""
-    disc = profile.gamma.disc_k
-    if disc != -4 or d % 2 or not profile.sqrt.q_flag or profile.cond is None:
-        raise CaseError(f"gauss preconditions fail for disc {disc}, d={d}")
-    e = _hat(4, d)
-    e1 = _hat(profile.sqrt.delta1, d)
-    e2 = _hat(profile.sqrt.delta2, d)
-    f_hat = _hat(profile.cond.value, d)
-    h2 = gcd_power_infinity(profile.h, 2)
-    rows = [
-        (1, 1, _HALF, _HALF),
-        (e, 1, _HALF, _HALF),
-        (e1, 2 * h2, _HALF, _HALF),
-        (e2, 2 * h2, _HALF, _HALF),
-        (f_hat, 4 * h2, 2, 2),
-    ]
-    echo = _echo_base(profile, e=e, e1=e1, e2=e2, f_hat=f_hat)
-    return _from_terms(d, profile, rows, CASE_GAUSS, echo)
-
-
-def delta_eisen(d: int, profile: KummerProfile) -> DensityResult:
-    """Eisenstein field, normal form, gcd(d, 6) > 1."""
-    disc = profile.gamma.disc_k
-    if disc != -3 or math.gcd(d, 6) == 1 or profile.cond is None:
-        raise CaseError(f"eisen preconditions fail for disc {disc}, d={d}")
-    h = profile.h
-    e_min = min(_hat(profile.sqrt.delta1, d), _hat(profile.sqrt.delta2, d))
-    f_hat = _hat(profile.cond.value, d)
-    ell = math.lcm(e_min, f_hat)
-    lead = 2 if d % 3 == 0 else 1
-    half = Fraction(lead, 2)
-    rows = [
-        (1, 1, half, half),
-        (e_min, 2 * gcd_power_infinity(h, 2), half, half),
-        (f_hat, 3 * gcd_power_infinity(h, 3), lead, lead),
-        (ell, 6 * gcd_power_infinity(h, 6), lead, lead),
-    ]
-    echo = _echo_base(profile, e_min=e_min, f_hat=f_hat, ell=ell)
-    return _from_terms(d, profile, rows, CASE_EISEN, echo)
-
-
-def delta_odd_generic(d: int, profile: KummerProfile) -> DensityResult:
-    """Odd d (coprime to 6 over the Eisenstein field); certified on every call."""
-    disc = profile.gamma.disc_k
-    coprime_to = 6 if disc == -3 else 2
-    if math.gcd(d, coprime_to) != 1:
-        raise CaseError(f"odd-generic preconditions fail for disc {disc}, d={d}")
-    if disc in (-3, -4):
-        e, rows = 1, [(1, 1, _HALF, _HALF)]
-    else:
+    The density is sum (coeff_plus + coeff_minus) * S_{d,e,h}(nu); delta_plus
+    and delta_minus are the sums with one weight each, and the trace lists
+    every nonzero S value with its total weight.  The odd-generic case is
+    certified against the series sum on every call.
+    """
+    disc, h, sq = profile.gamma.disc_k, profile.h, profile.sqrt
+    h2 = gcd_power_infinity(h, 2)
+    if disc == -3 and math.gcd(d, 6) > 1:
+        e_min = min(_hat(sq.delta1, d), _hat(sq.delta2, d))
+        f_hat = _hat(profile.cond.value, d)
+        ell = math.lcm(e_min, f_hat)
+        lead = 2 if d % 3 == 0 else 1
+        half = Fraction(lead, 2)
+        rows = [(1, 1, half, half), (e_min, 2 * h2, half, half),
+                (f_hat, 3 * gcd_power_infinity(h, 3), lead, lead),
+                (ell, 6 * gcd_power_infinity(h, 6), lead, lead)]
+        tag, extra = CASE_EISEN, {"e_min": e_min, "f_hat": f_hat, "ell": ell}
+    elif d % 2:  # coprime to 6 over the Eisenstein field
+        if disc in (-3, -4):
+            e, rows = 1, [(1, 1, _HALF, _HALF)]
+        else:
+            e = _hat(disc, d)
+            rows = [(1, 1, _HALF, _HALF), (e, 1, _HALF, _HALF if disc < 0 else -_HALF)]
+        tag, extra = CASE_ODD_GENERIC, {"e": e}
+    elif not sq.q_flag:  # real field, fundamental-unit square root of norm -1
         e = _hat(disc, d)
-        rows = [(1, 1, _HALF, _HALF), (e, 1, _HALF, _HALF if disc < 0 else -_HALF)]
-    result = _from_terms(d, profile, rows, CASE_ODD_GENERIC, _echo_base(profile, e=e))
-    series = series_oracle(profile.gamma, d)
-    if series != result.delta:
-        raise OracleMismatchError(
-            f"closed form {result.delta} differs from the series sum {series} "
-            f"for d={d}, element {profile.gamma}"
-        )
+        # the twisted sum enters the minus part only when (h, 2^inf) does not divide e
+        twisted_minus = -Fraction(3, 2) if e % h2 else 0
+        rows = [(1, 1, _HALF, Fraction(3, 2)), (e, 1, _HALF, twisted_minus)]
+        tag, extra = CASE_Q0, {"e": e}
+    else:  # norm-one square root: Gaussian, other imaginary or real field
+        e, e1, e2 = _hat(disc, d), _hat(sq.delta1, d), _hat(sq.delta2, d)
+        if disc > 0:
+            # the sign of c decides which square-root term the inert primes take
+            half_sign = -_HALF if sq.c_positive else _HALF
+            tag, minus = CASE_Q1_REAL, (_HALF, -_HALF, half_sign, -half_sign)
+        else:
+            tag, minus = CASE_Q1_IMAG, (_HALF,) * 4
+        rows = [(1, 1, _HALF, minus[0]), (e, 1, _HALF, minus[1]),
+                (e1, 2 * h2, _HALF, minus[2]), (e2, 2 * h2, _HALF, minus[3])]
+        extra = {"e": e, "e1": e1, "e2": e2}
+        if disc == -4:
+            f_hat = _hat(profile.cond.value, d)
+            rows.append((f_hat, 4 * h2, 2, 2))
+            tag, extra["f_hat"] = CASE_GAUSS, f_hat
+
+    dplus = dminus = Fraction(0)
+    trace = []
+    for e_row, nu, c_plus, c_minus in rows:
+        value = s_eval(d, e_row, h, nu)
+        if value:
+            dplus += c_plus * value
+            dminus += c_minus * value
+            trace.append(STerm(d, e_row, h, nu, Fraction(c_plus + c_minus), value))
+    result = _result(dplus, dminus, tag, tuple(trace), _echo_base(profile, **extra))
+    if tag == CASE_ODD_GENERIC:
+        series = series_oracle(profile.gamma, d)
+        if series != result.delta:
+            raise OracleMismatchError(
+                f"closed form {result.delta} differs from the series sum {series} "
+                f"for d={d}, element {profile.gamma}"
+            )
     return result
 
 
-# ---------------------------------------------------------------------------
-# twisted cases (recursive wrappers)
+# Power index attained at a primitive fourth (Gaussian) or cube (Eisenstein)
+# root of unity, by field: (q, c, K, tag, echo key of d / q^k, multiplier of
+# d / q^k tested against |delta1| (0: no test), multiplier tested against the
+# conductor).
+_HI_TWIST = {
+    -4: (2, 3, 2, CASE_GAUSS_HI, "d_odd", 8, 16),
+    -3: (3, 4, 1, CASE_EISEN_HOMEGA, "d_prime", 0, 9),
+}
 
 
-def _scaled(inner: DensityResult, factor: Fraction) -> tuple:
-    return tuple(
-        STerm(t.d, t.e, t.h, t.nu, t.coefficient * factor, t.value) for t in inner.trace
-    )
+def _hi_twist(d: int, twisted: QuadElem, echo_extra: dict) -> DensityResult:
+    """The normal form's density at d / q^k, rescaled, where k = v_q(d).
 
-
-def switch_minus_one(
-    d: int, eval_minus_gamma: Callable[[int], DensityResult], echo: dict
-) -> DensityResult:
-    """Density via the sign-switched element; inclusion-exclusion when 2 || d."""
-    _validate_positive(d=d)
-    if d % 2 == 0 and d % 4 != 0:
-        parts = [(1, eval_minus_gamma(2 * d)), (1, eval_minus_gamma(d // 2)),
-                 (-1, eval_minus_gamma(d))]
-    else:
-        parts = [(1, eval_minus_gamma(d))]
-    dplus = sum((c * r.delta_plus for c, r in parts), Fraction(0))
-    dminus = sum((c * r.delta_minus for c, r in parts), Fraction(0))
-    trace = tuple(t for c, r in parts for t in _scaled(r, Fraction(c)))
-    echo = dict(echo)
-    echo["components"] = tuple((c, r.case_tag) for c, r in parts)
-    return _result(dplus, dminus, CASE_SWITCH, trace, echo)
-
-
-def delta_gauss_hi(d: int, twisted: QuadElem, echo_extra: dict) -> DensityResult:
-    """Gaussian field with the power index attained at a primitive fourth root."""
+    m counts the conductor tests that d / q^k passes; with h_q the q-smooth
+    part of h, the scale is 1 at k = 0, 1 - q^k / (c * q^(m+K) * h_q) for
+    1 <= k <= K, and q^(K+1) / (c * q^(k+m) * h_q) past K.  Split and inert
+    primes take half each.
+    """
     profile = kummer_profile(twisted)
-    if twisted.disc_k != -4 or profile.h % 2 or profile.cond is None:
-        raise CaseError("gauss-hi preconditions fail")
-    k = factorize(d).as_dict().get(2, 0)
-    d_odd = d >> k
-    h2 = gcd_power_infinity(profile.h, 2)
-    m = int(8 * d_odd % abs(profile.sqrt.delta1) == 0) + int(
-        16 * d_odd % profile.cond.value == 0
-    )
-    inner = delta_odd_generic(d_odd, profile)
+    q, c, big_k, tag, key, sqrt_mult, cond_mult = _HI_TWIST[twisted.disc_k]
+    k = _valuation(d, q)
+    rest = d // q**k
+    m = int(cond_mult * rest % profile.cond.value == 0)
+    if sqrt_mult:
+        m += int(sqrt_mult * rest % abs(profile.sqrt.delta1) == 0)
+    h_q = gcd_power_infinity(profile.h, q)
     if k == 0:
-        factor = Fraction(1)
-    elif k <= 2:
-        factor = 1 - Fraction(2**k, 3 * 2 ** (m + 2) * h2)
+        scale = Fraction(1)
+    elif k <= big_k:
+        scale = 1 - Fraction(q**k, c * q ** (m + big_k) * h_q)
     else:
-        factor = Fraction(8, 3 * 2 ** (k + m) * h2)
-    delta = inner.delta * factor
-    half = delta / 2
-    echo = _echo_base(profile, k=k, d_odd=d_odd, m=m, scale=factor, **echo_extra)
-    return _result(half, half, CASE_GAUSS_HI, _scaled(inner, factor), echo)
-
-
-def delta_eisen_homega(d: int, twisted: QuadElem, echo_extra: dict) -> DensityResult:
-    """Eisenstein field with the power index attained at a primitive cube root."""
-    profile = kummer_profile(twisted)
-    if twisted.disc_k != -3 or profile.h % 3 or profile.cond is None:
-        raise CaseError("eisen-homega preconditions fail")
-    k = factorize(d).as_dict().get(3, 0)
-    d_prime = d // 3 ** k
-    h3 = gcd_power_infinity(profile.h, 3)
-    m = int(9 * d_prime % profile.cond.value == 0)
-    if math.gcd(d_prime, 6) > 1:
-        inner = delta_eisen(d_prime, profile)
-    else:
-        inner = delta_odd_generic(d_prime, profile)
-    if k == 0:
-        factor = Fraction(1)
-    elif k == 1:
-        factor = 1 - Fraction(1, 4 * 3**m * h3)
-    else:
-        factor = Fraction(9, 4 * 3 ** (k + m) * h3)
-    delta = inner.delta * factor
-    half = delta / 2
-    echo = _echo_base(profile, k=k, d_prime=d_prime, m=m, scale=factor, **echo_extra)
-    return _result(half, half, CASE_EISEN_HOMEGA, _scaled(inner, factor), echo)
+        scale = Fraction(q ** (big_k + 1), c * q ** (k + m) * h_q)
+    inner = _normal(rest, profile)
+    half = inner.delta * scale / 2
+    echo = _echo_base(profile, k=k, **{key: rest}, m=m, scale=scale, **echo_extra)
+    return _result(half, half, tag, _scaled(inner, scale), echo)
 
 
 # ---------------------------------------------------------------------------
 # dispatcher
 
 
-def _trivial_one(pix: PowerIndexData, disc_k: int) -> DensityResult:
-    h = pix.table[0]
-    trace = (STerm(1, 1, h, 1, Fraction(1), Fraction(1)),)
-    echo = {"h": pix.h, "zeta_star": zeta_label(disc_k, pix.zeta_star_exp), "d": 1}
-    return _result(Fraction(1, 2), Fraction(1, 2), CASE_ODD_GENERIC, trace, echo)
-
-
 def dispatch(target: Target, d: int) -> DensityResult:
     """Route (gamma, d) to its case formula and return the certified result."""
     gamma = _gamma_of(target)
     _validate_positive(d=d)
-    try:
-        return _dispatch(gamma, d)
-    except CaseError as exc:
-        raise UnreachableCaseError(
-            f"no applicable density case for {gamma}, d={d}: {exc}"
-        ) from exc
+    return _dispatch(gamma, d)
 
 
 def _dispatch(gamma: QuadElem, d: int) -> DensityResult:
     pix = _pix(gamma)
-    disc = gamma.disc_k
-    j = pix.zeta_star_exp
-    n_mu = len(pix.table)
-
+    disc, j, n_mu = gamma.disc_k, pix.zeta_star_exp, len(pix.table)
     if j == 0:
-        profile = kummer_profile(gamma)
-        if disc == -4:
-            if d % 2 == 0:
-                return delta_gauss(d, profile)
-            return delta_odd_generic(d, profile)
-        if disc == -3:
-            if math.gcd(d, 6) > 1:
-                return delta_eisen(d, profile)
-            return delta_odd_generic(d, profile)
-        if d % 2:
-            return delta_odd_generic(d, profile)
-        if profile.sqrt.q_flag:
-            return delta_q1(d, profile)
-        return delta_q0(d, profile)
+        return _normal(d, kummer_profile(gamma))
 
     if d == 1:
         # trivially every rank is divisible by 1; no normalization needed
-        return _trivial_one(pix, disc)
+        trace = (STerm(1, 1, pix.table[0], 1, Fraction(1), Fraction(1)),)
+        echo = {"h": pix.h, "zeta_star": zeta_label(disc, j), "d": 1}
+        return _result(_HALF, _HALF, CASE_ODD_GENERIC, trace, echo)
 
     order = n_mu // math.gcd(j, n_mu)
-    if order in (2, 6):  # -1 or a primitive sixth root: fold the sign into the switch
-        minus = -gamma
-        echo = {"h": pix.h, "zeta_star": zeta_label(disc, j), "v2_split": d % 2 == 0 and d % 4 != 0}
-        return switch_minus_one(d, lambda dd: _dispatch(minus, dd), echo)
+    if order in (2, 6):
+        # -1 or a primitive sixth root: the sign-switched element, with
+        # inclusion-exclusion over d/2, d and 2d when 2 || d
+        split = d % 4 == 2
+        parts = [(c, _dispatch(-gamma, dd))
+                 for c, dd in ([(1, 2 * d), (1, d // 2), (-1, d)] if split else [(1, d)])]
+        dplus = sum((c * r.delta_plus for c, r in parts), Fraction(0))
+        dminus = sum((c * r.delta_minus for c, r in parts), Fraction(0))
+        trace = tuple(t for c, r in parts for t in _scaled(r, Fraction(c)))
+        echo = {"h": pix.h, "zeta_star": zeta_label(disc, j), "v2_split": split,
+                "components": tuple((c, r.case_tag) for c, r in parts)}
+        return _result(dplus, dminus, CASE_SWITCH, trace, echo)
 
-    # twist by a primitive fourth (Gaussian) or cube (Eisenstein) root of unity
+    # a primitive fourth (Gaussian) or cube (Eisenstein) root of unity
     conjugated = 2 * j > n_mu
     base_pix = _pix(qf_conj(gamma) if conjugated else gamma)
     if base_pix.zeta_star_exp != n_mu // order:
-        raise CaseError(f"conjugation did not normalize the twist exponent {j} for disc {disc}")
+        raise UnreachableCaseError(
+            f"no applicable density case for {gamma}, d={d}: conjugation did not"
+            f" normalize the twist exponent {j}"
+        )
     echo_extra = {"source_zeta": zeta_label(disc, j), "conjugated": conjugated}
-    hi_twist = delta_gauss_hi if disc == -4 else delta_eisen_homega
-    return hi_twist(d, base_pix.gamma_tilde, echo_extra)
+    return _hi_twist(d, base_pix.gamma_tilde, echo_extra)
 
 
 # ---------------------------------------------------------------------------

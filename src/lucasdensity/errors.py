@@ -29,10 +29,6 @@ class DegenerateError(LucasDensityError):
     """Internal impossibility, e.g. c = 0 in the square-root data of a nontorsion element."""
 
 
-class CaseError(LucasDensityError):
-    """A case formula was invoked outside its hypotheses."""
-
-
 class HypothesisError(LucasDensityError):
     """S-sum evaluated outside the closed form's hypothesis (h, nu^inf) | nu."""
 

@@ -452,8 +452,9 @@ def _membership(m: int, n: int, sqrt: SqrtData, cond: Optional[ConductorData]) -
         if cond is None or cond.base != 3:
             raise LucasDensityError(f"the 3-twisted root needs a cubic conductor, got {cond}")
         return n % cond.value == 0
-    assert m == 6
-    return _membership(2, n, sqrt, cond) and _membership(3, n, sqrt, cond)
+    if m == 6:
+        return _membership(2, n, sqrt, cond) and _membership(3, n, sqrt, cond)
+    raise LucasDensityError(f"no twisted-root membership test for m={m}")
 
 
 def kummer_degree(

@@ -468,14 +468,14 @@ class PowerIndexData:
     roots: dict[int, QuadElem]
     h: int
     zeta_star_exp: int
-    zeta_star: QuadElem
     gamma_tilde: QuadElem
     gamma0: QuadElem
 
     def restricted(self, m: int) -> tuple[int, int, QuadElem]:
         """(h_m, exponent, root) maximising h(zeta) over twists with zeta^m = 1."""
         nmu = len(self.table)
-        assert nmu % m == 0, f"m={m} does not divide the torsion order {nmu}"
+        if m < 1 or nmu % m:
+            raise LucasDensityError(f"restricted({m}): m must divide the torsion order {nmu}")
         eligible = [j for j in _tie_break_order(nmu) if j * m % nmu == 0]
         h_m = max(self.table[j] for j in eligible)
         j = next(j for j in eligible if self.table[j] == h_m)
@@ -571,7 +571,6 @@ def power_index(gamma: QuadElem) -> PowerIndexData:
         roots=roots,
         h=h,
         zeta_star_exp=j_star,
-        zeta_star=units[j_star],
         gamma_tilde=qf_mul(units[j_star], gamma),
         gamma0=roots[j_star],
     )

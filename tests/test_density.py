@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from lucasdensity.arith import divisors, moebius
+import lucasdensity
+from lucasdensity.arith import divisors, factorize, gcd_power_infinity, moebius
 from lucasdensity.density import (
     CASE_EISEN,
     CASE_EISEN_HOMEGA,
@@ -31,7 +32,6 @@ from lucasdensity.density import (
     series_oracle,
 )
 from lucasdensity.errors import (
-    CaseError,
     HypothesisError,
     LucasDensityError,
     OracleMismatchError,
@@ -315,7 +315,7 @@ def test_oracle_rejects_twisted_element_with_typed_error():
     ctx = make_context(1, -1)  # the Fibonacci root quotient is twisted by -1
     with pytest.raises(LucasDensityError, match="normal_form") as info:
         series_oracle(ctx, 2)
-    assert not isinstance(info.value, CaseError)
+    assert type(info.value) is LucasDensityError
     assert str(ctx.gamma) in str(info.value)
     norm = normal_form(ctx)
     assert series_oracle(norm, 2) == dispatch(norm, 2).delta
@@ -442,3 +442,97 @@ def test_sixth_root_twists_pinned():
             lines += [_canonical(gamma, d) for d in range(1, 61)]
     assert sum("SWITCH_MINUS1" in line for line in lines) == 236  # all but d = 1
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SIXTH_ROOT_DIGEST
+
+
+# The two higher-twist scales as they were written per field before the
+# shared (q, c, K) table: an oracle independent of the merged formula.
+def _gauss_hi_scale(d, profile):
+    k = factorize(d).as_dict().get(2, 0)
+    d_odd = d >> k
+    h2 = gcd_power_infinity(profile.h, 2)
+    m = int(8 * d_odd % abs(profile.sqrt.delta1) == 0) + int(
+        16 * d_odd % profile.cond.value == 0
+    )
+    if k == 0:
+        factor = Fraction(1)
+    elif k <= 2:
+        factor = 1 - Fraction(2**k, 3 * 2 ** (m + 2) * h2)
+    else:
+        factor = Fraction(8, 3 * 2 ** (k + m) * h2)
+    return k, d_odd, m, factor
+
+
+def _eisen_homega_scale(d, profile):
+    k = factorize(d).as_dict().get(3, 0)
+    d_prime = d // 3 ** k
+    h3 = gcd_power_infinity(profile.h, 3)
+    m = int(9 * d_prime % profile.cond.value == 0)
+    if k == 0:
+        factor = Fraction(1)
+    elif k == 1:
+        factor = 1 - Fraction(1, 4 * 3**m * h3)
+    else:
+        factor = Fraction(9, 4 * 3 ** (k + m) * h3)
+    return k, d_prime, m, factor
+
+
+def _hi_twist_corpus():
+    """Gaussian and Eisenstein elements twisted by a primitive 4th or 3rd root, with h_q > 1."""
+    for exp in REFERENCE_PROFILES:
+        disc = exp.gamma.disc_k
+        if disc not in (-3, -4) or exp.zeta_exp in (0, len(torsion_units(disc)) // 2):
+            continue
+        yield exp.gamma
+        yield qf_conj(exp.gamma)
+        q = 2 if disc == -4 else 3
+        norm = normal_form(exp.gamma)
+        untwist = torsion_units(disc)[-exp.zeta_exp]
+        for power in (q, q * q):
+            yield qf_mul(untwist, qf_pow(norm, power))
+    # the root has valuation 1 above 5 and 2 above 13: delta1 sees 5 and the
+    # conductor 5 * 13, so r = 5 passes one test (m = 1)
+    root = qf_mul(QuadElem(-4, F(3, 5), F(2, 5)), qf_pow(QuadElem(-4, F(5, 13), F(6, 13)), 2))
+    for power in (2, 8):
+        yield qf_mul(torsion_units(-4)[3], qf_pow(root, power))
+
+
+def test_hi_twist_scale_matches_the_per_field_formulas():
+    seen = {-4: set(), -3: set()}
+    h_q = set()
+    for gamma in _hi_twist_corpus():
+        disc = gamma.disc_k
+        pix = power_index(gamma)
+        base = qf_conj(gamma) if 2 * pix.zeta_star_exp > len(pix.table) else gamma
+        norm = normal_form(base)
+        profile = kummer_profile(norm)
+        if disc == -4:
+            q, top, tag, key, old = 2, 8, CASE_GAUSS_HI, "d_odd", _gauss_hi_scale
+        else:
+            q, top, tag, key, old = 3, 6, CASE_EISEN_HOMEGA, "d_prime", _eisen_homega_scale
+        h_q.add((disc, gcd_power_infinity(profile.h, q)))
+        for r in (1, 2, 5, 7, 13, 14, 35, 65, 91, 455):
+            if r % q == 0:
+                continue
+            for k in range(top + 1):
+                d = q**k * r
+                if d == 1:
+                    continue
+                old_k, rest, m, scale = old(d, profile)
+                res = dispatch(gamma, d)
+                echo = res.inputs_echo
+                assert res.case_tag == tag, (gamma, d)
+                assert (echo["k"], echo[key], echo["m"]) == (old_k, rest, m) == (k, r, m)
+                assert echo["scale"] == scale, (gamma, d)
+                assert res.delta == dispatch(norm, rest).delta * scale, (gamma, d)
+                assert res.delta_plus == res.delta_minus == res.delta / 2
+                seen[disc].add(m)
+    assert seen == {-4: {0, 1, 2}, -3: {0, 1}}
+    assert {(-4, 4), (-4, 8), (-3, 9), (-3, 27)} <= h_q
+
+
+def test_public_names_resolve_and_errors_share_the_base():
+    for name in lucasdensity.__all__:
+        value = getattr(lucasdensity, name)
+        if isinstance(value, type) and issubclass(value, BaseException):
+            assert issubclass(value, LucasDensityError), name
+    assert "CaseError" not in lucasdensity.__all__

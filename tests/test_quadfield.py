@@ -49,13 +49,16 @@ _OPTIMIZED_CHECK = """
 from fractions import Fraction
 from lucasdensity import (DensityResult, EmpiricalReport, LucasDensityError, QuadElem, STerm,
                           dispatch, make_context, power_index)
-from lucasdensity.kummer import cubic_conductor, kummer_degree, quartic_conductor, sqrt_data
+from lucasdensity.kummer import (_membership, cubic_conductor, kummer_degree, quartic_conductor,
+                                 sqrt_data)
 calls = [lambda disc=disc: dispatch(QuadElem(disc, 1, 1), 2) for disc in (7, 0, 9, 4)]
 calls.append(lambda: power_index(QuadElem(5, 2, 0)))
 calls.append(lambda: dispatch(QuadElem(20, Fraction(-3, 2), Fraction(-1, 4)), 2))
 calls.append(lambda: STerm(2, 1, 1, 0, Fraction(1), Fraction(1)))
 calls.append(lambda: kummer_degree(4, 2, power_index(make_context(1, -1).gamma),
                                    sqrt_data(QuadElem(5, Fraction(3, 2), Fraction(1, 2)))))
+calls.append(lambda: power_index(QuadElem(-4, Fraction(-3, 5), Fraction(2, 5))).restricted(5))
+calls.append(lambda: _membership(5, 10, sqrt_data(QuadElem(5, Fraction(3, 2), Fraction(1, 2))), None))
 calls.append(lambda: DensityResult(Fraction(2), Fraction(1), Fraction(1), "t", (), {}))
 calls.append(lambda: EmpiricalReport(1, -1, 2, 10, 3, 1, 1, 5, Fraction(3, 5),
                                      Fraction(1, 5), Fraction(1, 5)))
@@ -88,6 +91,8 @@ def test_quad_elem_validation_survives_optimize_flag():
         "LucasDensityError STerm.nu must be a positive int, got 0",
         "LucasDensityError kummer_degree needs h = h(1), got h(1) = 1 and h = 2 at twist"
         " exponent 1; pass the power index of the normal form (3+1*sqrt(5))/2",
+        "LucasDensityError restricted(5): m must divide the torsion order 4",
+        "LucasDensityError no twisted-root membership test for m=5",
         "LucasDensityError DensityResult.delta=2 is outside [0, 1]",
         "LucasDensityError EmpiricalReport.counted=3 differs from counted_plus"
         " + counted_minus = 2",
