@@ -2,10 +2,11 @@
 
 Factorization, squarefree kernels, gcd-with-a-supernatural-power, divisor
 enumeration, multiplicative functions and Jacobi symbols.  Everything here is
-deterministic and pure; all results are exact.  `factorize` caches its
-_FACTOR_CACHE_SIZE most recently used results (a frozen Factorization is safe
-to share), so the divisor and multiplicative helpers built on it, and their
-callers, factor a recurring integer once.
+deterministic and pure; all results are exact.  `factorize` returns the
+sorted tuple of (prime, exponent) pairs and caches its _FACTOR_CACHE_SIZE most
+recently used results (a tuple is safe to share), so the divisor and
+multiplicative helpers built on it, and their callers, factor a recurring
+integer once.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import LucasDensityError
@@ -34,22 +34,6 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
 
 # factorize results kept; the series oracle's integers d*v for one d fit many times over
 _FACTOR_CACHE_SIZE = 512
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization of |n| as a sorted tuple of (prime, exponent) pairs."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.pairs)
-
-    def value(self) -> int:
-        out = 1
-        for p, e in self.pairs:
-            out *= p ** e
-        return out
 
 
 def _is_strong_lucas_prp(n: int) -> bool:
@@ -147,12 +131,12 @@ def _pollard_rho(n: int) -> int:
 
 
 @functools.lru_cache(maxsize=_FACTOR_CACHE_SIZE)
-def factorize(n: int) -> Factorization:
-    """Exact prime factorization of |n|; the sign is ignored.
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Exact prime factorization of |n| as sorted (prime, exponent) pairs; the sign is ignored.
 
-    >>> factorize(12).as_dict()
+    >>> dict(factorize(12))
     {2: 2, 3: 1}
-    >>> factorize(-1).pairs
+    >>> factorize(-1)
     ()
     """
     if n == 0:
@@ -177,13 +161,13 @@ def factorize(n: int) -> Factorization:
             continue
         d = _pollard_rho(m)
         stack += [d, m // d]
-    return Factorization(tuple(sorted(fac.items())))
+    return tuple(sorted(fac.items()))
 
 
 def divisors(n: int) -> list[int]:
     """Sorted positive divisors of |n|."""
     divs = [1]
-    for p, e in factorize(n).pairs:
+    for p, e in factorize(n):
         divs = [d * p ** k for d in divs for k in range(e + 1)]
     return sorted(divs)
 
@@ -193,7 +177,7 @@ def moebius(n: int) -> int:
     if n == 1:
         return 1
     mu = 1
-    for _, e in factorize(n).pairs:
+    for _, e in factorize(n):
         if e > 1:
             return 0
         mu = -mu
@@ -203,14 +187,14 @@ def moebius(n: int) -> int:
 def euler_phi(n: int) -> int:
     """Euler totient of n >= 1."""
     out = n
-    for p, _ in factorize(n).pairs:
+    for p, _ in factorize(n):
         out -= out // p
     return out
 
 
 def prime_factors(n: int) -> list[int]:
     """Distinct primes dividing |n| (empty for |n| = 1)."""
-    return [p for p, _ in factorize(n).pairs]
+    return [p for p, _ in factorize(n)]
 
 
 def squarefree_kernel(q: Fraction | int) -> tuple[int, Fraction]:
@@ -225,11 +209,11 @@ def squarefree_kernel(q: Fraction | int) -> tuple[int, Fraction]:
     if q == 0:
         raise LucasDensityError("squarefree_kernel(0) is undefined")
     s, t = 1, Fraction(1)
-    for p, e in factorize(q.numerator).pairs:
+    for p, e in factorize(q.numerator):
         if e % 2:
             s *= p
         t *= Fraction(p) ** (e // 2)
-    for p, e in factorize(q.denominator).pairs:
+    for p, e in factorize(q.denominator):
         # 1/p = p * (1/p)^2, so an odd denominator prime lands in s and costs t a factor p
         if e % 2:
             s *= p

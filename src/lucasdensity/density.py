@@ -13,6 +13,10 @@ every nonzero S value with its total weight.  _hi_twist rescales _normal for a
 twist by a primitive fourth or cube root of unity, from one (q, c, K) entry per
 field, and _dispatch folds -1 and the sixth roots into the sign-switched
 element by inclusion-exclusion.
+
+Both the case formulas and the series see a normal form only through its
+kummer.KummerProfile: h, #mu(K), delta1, delta2 and one conductor, which
+kummer_profile reads off the h-th root gamma0 and the profile checks once.
 """
 
 from __future__ import annotations
@@ -38,8 +42,7 @@ from .errors import (
     UnreachableCaseError,
 )
 from .kummer import (
-    ConductorData,
-    SqrtData,
+    KummerProfile,
     cubic_conductor,
     kummer_degree,
     quartic_conductor,
@@ -177,20 +180,6 @@ def s_eval(d: int, e: int, h: int, nu: int = 1) -> Fraction:
 # per-element profile (power index + square-root data + conductor)
 
 
-@dataclass(frozen=True)
-class KummerProfile:
-    """Everything the degree/fixed-point formulas need about one element."""
-
-    gamma: QuadElem
-    pix: PowerIndexData
-    sqrt: SqrtData
-    cond: Optional[ConductorData]
-
-    @property
-    def h(self) -> int:
-        return self.pix.h
-
-
 # Entries per profile cache.  The 18 reference rows fill 15 power-index and 9
 # profile entries, so the bound only caps growth over a stream of new elements.
 _CACHE_SIZE = 256
@@ -220,24 +209,14 @@ def normal_form(target: Target) -> QuadElem:
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def kummer_profile(gamma: QuadElem) -> KummerProfile:
-    """Profile of a normal-form element (maximal twist already at zeta = 1)."""
+    """Profile of a normal-form element (maximal twist already at zeta = 1).
+
+    The square-root data and the conductor are read off the h-th root gamma0.
+    """
     pix = _pix(gamma)
-    if pix.zeta_star_exp != 0:
-        raise LucasDensityError(
-            f"{gamma} is not in normal form: pass normal_form(gamma), "
-            "whose density can differ from the twisted element's"
-        )
-    root2 = pix.restricted(2)[2]
-    sq = sqrt_data(root2)
-    cond: Optional[ConductorData] = None
-    if gamma.disc_k == -4:
-        cond = quartic_conductor(root2)
-    elif gamma.disc_k == -3:
-        # standardized on the mu_6-restricted root; the Kummer extension, hence
-        # the conductor divisibilities used downstream, do not depend on which
-        # coprime-power representative is taken
-        cond = cubic_conductor(pix.restricted(6)[2])
-    return KummerProfile(gamma, pix, sq, cond)
+    root = pix.gamma0
+    conductor = {-4: quartic_conductor, -3: cubic_conductor}.get(gamma.disc_k)
+    return KummerProfile(gamma, pix, sqrt_data(root), conductor(root) if conductor else None)
 
 
 # ---------------------------------------------------------------------------
@@ -258,12 +237,12 @@ def _stable_exponents(profile: KummerProfile, d: int) -> list[tuple[int, int]]:
     The fixed integers are 16h, 27h, disc_k, delta1, delta2, the conductor and
     #mu(K); T_p = 0 marks a prime that divides none of them.
     """
-    pix, sq, cond = profile.pix, profile.sqrt, profile.cond
+    pix, sq = profile.pix, profile.sqrt
     fixed = [16 * pix.h, 27 * pix.h, profile.gamma.disc_k, len(pix.table)]
     if sq.q_flag:
         fixed += [sq.delta1, sq.delta2]
-    if cond is not None:
-        fixed.append(cond.value)
+    if profile.conductor is not None:
+        fixed.append(profile.conductor)
     return [(p, max(_valuation(x, p) for x in fixed)) for p in prime_factors(d)]
 
 
@@ -290,7 +269,6 @@ def series_oracle(target: Target, d: int) -> Fraction:
     gamma = _gamma_of(target)
     _validate_positive(d=d)
     profile = kummer_profile(gamma)
-    pix, sq, cond = profile.pix, profile.sqrt, profile.cond
 
     # (v, w): w = prod over live p of p^2 if a_p = T_p else p^2 - 1, so the
     # weight of v is w / scale
@@ -309,8 +287,8 @@ def series_oracle(target: Target, d: int) -> Fraction:
     num, den = 0, 1
     for v, w in vs:
         for u, mu in sq_free:
-            deg = kummer_degree(d * v, u * v, pix, sq, cond)
-            hit = 1 + sigma_exists(d * v, u * v, gamma.disc_k, pix, sq)
+            deg = kummer_degree(d * v, u * v, profile)
+            hit = 1 + sigma_exists(d * v, u * v, profile)
             step = math.lcm(den, deg)
             num, den = num * (step // den) + mu * hit * w * (step // deg), step
     return euler * Fraction(num, den * scale)
@@ -337,12 +315,13 @@ def _scaled(inner: DensityResult, factor: Fraction) -> tuple:
 
 
 def _echo_base(profile: KummerProfile, **extra) -> dict:
-    pix, sq = profile.pix, profile.sqrt
-    echo = {"h": pix.h, "zeta_star": zeta_label(pix.disc_k, pix.zeta_star_exp), "q": int(sq.q_flag)}
+    sq = profile.sqrt
+    # a profile is a normal form: its twist is 1
+    echo = {"h": profile.h, "zeta_star": "1", "q": int(sq.q_flag)}
     if sq.q_flag:
         echo.update(delta1=sq.delta1, delta2=sq.delta2)
-    if profile.cond is not None:
-        echo["conductor"] = profile.cond.value
+    if profile.conductor is not None:
+        echo["conductor"] = profile.conductor
     echo.update(extra)
     return echo
 
@@ -359,7 +338,7 @@ def _normal(d: int, profile: KummerProfile) -> DensityResult:
     h2 = gcd_power_infinity(h, 2)
     if disc == -3 and math.gcd(d, 6) > 1:
         e_min = min(_hat(sq.delta1, d), _hat(sq.delta2, d))
-        f_hat = _hat(profile.cond.value, d)
+        f_hat = _hat(profile.conductor, d)
         ell = math.lcm(e_min, f_hat)
         lead = 2 if d % 3 == 0 else 1
         half = Fraction(lead, 2)
@@ -392,7 +371,7 @@ def _normal(d: int, profile: KummerProfile) -> DensityResult:
                 (e1, 2 * h2, _HALF, minus[2]), (e2, 2 * h2, _HALF, minus[3])]
         extra = {"e": e, "e1": e1, "e2": e2}
         if disc == -4:
-            f_hat = _hat(profile.cond.value, d)
+            f_hat = _hat(profile.conductor, d)
             rows.append((f_hat, 4 * h2, 2, 2))
             tag, extra["f_hat"] = CASE_GAUSS, f_hat
 
@@ -437,7 +416,7 @@ def _hi_twist(d: int, twisted: QuadElem, echo_extra: dict) -> DensityResult:
     q, c, big_k, tag, key, sqrt_mult, cond_mult = _HI_TWIST[twisted.disc_k]
     k = _valuation(d, q)
     rest = d // q**k
-    m = int(cond_mult * rest % profile.cond.value == 0)
+    m = int(cond_mult * rest % profile.conductor == 0)
     if sqrt_mult:
         m += int(sqrt_mult * rest % abs(profile.sqrt.delta1) == 0)
     h_q = gcd_power_infinity(profile.h, q)

@@ -3,10 +3,13 @@
 The membership machinery: given the normalised root z of a norm-one element,
 decide in which cyclotomic extensions of K its square/cube/fourth roots live,
 and from that compute [K(zeta_n, gamma^(1/d)) : Q] exactly.  The quartic and
-cubic conductors are closed forms: the tamely ramified primes are read off
-the root's denominator, the 2- or 3-part off one congruence.  poly_field_disc
-(round two, every linear solve an integer forward substitution against a
-Hermite basis) stays as the reference the tests compare them with.
+cubic conductors are closed forms returning one integer: the tamely ramified
+primes are read off the root's denominator, the 2- or 3-part off one
+congruence.  poly_field_disc (round two, every linear solve an integer forward
+substitution against a Hermite basis) stays as the reference the tests
+compare them with.  A KummerProfile carries the invariants of one normal form
+(power index, square-root data, conductor) and is the one input of
+kummer_degree and sigma_exists; it checks them once, when it is built.
 """
 
 from __future__ import annotations
@@ -330,7 +333,7 @@ def poly_field_disc(coeffs: Sequence[int]) -> int:
     poly_disc = _poly_discriminant(f)
     assert poly_disc != 0, "irreducible polynomial cannot have a zero discriminant"
     den, mat = 1, [[int(i == j) for j in range(n)] for i in range(n)]
-    for p, e in factorize(poly_disc).pairs:
+    for p, e in factorize(poly_disc):
         if e < 2:
             continue
         while True:
@@ -382,16 +385,6 @@ def poly_field_disc(coeffs: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConductorData:
-    """Conductor f(L) split as base^base_exponent * squarefree_part."""
-
-    value: int
-    base: int
-    base_exponent: int
-    squarefree_part: int
-
-
 def _tame_part(root: QuadElem, disc: int, n: int, name: str) -> int:
     """Product of the primes p not dividing n over which K(root^(1/n)) ramifies.
 
@@ -403,34 +396,32 @@ def _tame_part(root: QuadElem, disc: int, n: int, name: str) -> int:
     return math.prod(p for p, e in _support_exponents(root) if e % n)
 
 
-def quartic_conductor(root: QuadElem) -> ConductorData:
+def quartic_conductor(root: QuadElem) -> int:
     """Conductor of the degree-8 field containing the fourth root of the twist.
 
-    ``root`` = u + v*sqrt(-4) is the h2-normalised root, of norm 1 and not a
-    square.  The conductor is 2^max(2, 4 - v_2(u - 1)) times the tame primes.
-    The 2-part depends only on root mod 32, since a 2-adic unit = 1 mod 32 of
-    Z_2[i] is a fourth power, and the tests check it on every norm-1 class.
+    ``root`` = u + v*sqrt(-4) is the h-th root of a normal form, of norm 1
+    and not a square.  The conductor is 2^max(2, 4 - v_2(u - 1)) times the
+    tame primes.  The 2-part depends only on root mod 32, since a 2-adic unit
+    = 1 mod 32 of Z_2[i] is a fourth power, and the tests check it on every
+    norm-1 class.
     """
     tame = _tame_part(root, -4, 4, "quartic_conductor")
     # u has an odd denominator, and u != 1 since v != 0
     low = (root.u - 1).numerator
-    exponent = max(2, 4 - ((low & -low).bit_length() - 1))
-    return ConductorData(value=tame << exponent, base=2, base_exponent=exponent,
-                         squarefree_part=tame)
+    return tame << max(2, 4 - ((low & -low).bit_length() - 1))
 
 
-def cubic_conductor(root: QuadElem) -> ConductorData:
+def cubic_conductor(root: QuadElem) -> int:
     """Conductor of the cubic-root tower over disc -3.
 
-    ``root`` = u + v*sqrt(-3) is the h6-normalised root.  The conductor is the
-    product of the tame primes, times 9 unless 3 divides the numerator of v.
-    The 3-part depends only on root mod 27, since a 3-adic unit = 1 mod 27 of
-    Z_3[omega] is a cube, and the tests check it on every norm-1 class.
+    ``root`` = u + v*sqrt(-3) is the h-th root of a normal form.  The
+    conductor is the product of the tame primes, times 9 unless 3 divides the
+    numerator of v.  The 3-part depends only on root mod 27, since a 3-adic
+    unit = 1 mod 27 of Z_3[omega] is a cube, and the tests check it on every
+    norm-1 class.
     """
     tame = _tame_part(root, -3, 3, "cubic_conductor")
-    exponent = 0 if root.v.numerator % 3 == 0 else 2
-    return ConductorData(value=tame * 3 ** exponent, base=3, base_exponent=exponent,
-                         squarefree_part=tame)
+    return tame if root.v.numerator % 3 == 0 else 9 * tame
 
 
 # ---------------------------------------------------------------------------
@@ -438,61 +429,74 @@ def cubic_conductor(root: QuadElem) -> ConductorData:
 # ---------------------------------------------------------------------------
 
 
-def _membership(m: int, n: int, sqrt: SqrtData, cond: Optional[ConductorData]) -> bool:
+@dataclass(frozen=True)
+class KummerProfile:
+    """Everything the degree and fixed-point formulas need about one normal form.
+
+    ``pix`` is gamma's power index, ``sqrt`` the square-root data of its h-th
+    root pix.gamma0, and ``conductor`` the quartic (disc -4) or cubic (disc -3)
+    conductor of that root.  The constructor checks that gamma is a normal
+    form (zeta* = 1, so h = h(1)) and that the conductor is set exactly over
+    those two fields; kummer_degree, sigma_exists and _membership rely on both.
+    """
+
+    gamma: QuadElem
+    pix: PowerIndexData
+    sqrt: SqrtData
+    conductor: Optional[int]
+
+    def __post_init__(self) -> None:
+        if self.pix.zeta_star_exp != 0:
+            raise LucasDensityError(
+                f"{self.gamma} is not in normal form: pass normal_form(gamma), "
+                "whose density can differ from the twisted element's"
+            )
+        if (self.conductor is None) == (self.gamma.disc_k in (-4, -3)):
+            raise LucasDensityError(
+                f"the profile of {self.gamma} needs a conductor exactly over disc -4 and -3,"
+                f" got {self.conductor}")
+
+    @property
+    def h(self) -> int:
+        return self.pix.h
+
+
+def _membership(m: int, n: int, profile: KummerProfile) -> bool:
     """Whether the m-twisted root of gamma lies in K(zeta_n)."""
+    sq = profile.sqrt
     if m == 1:
         return True
     if m == 2:
-        return sqrt.q_flag and (n % abs(sqrt.delta1) == 0 or n % abs(sqrt.delta2) == 0)
+        return sq.q_flag and (n % abs(sq.delta1) == 0 or n % abs(sq.delta2) == 0)
     if m == 4:
-        if cond is None or cond.base != 2:
-            raise LucasDensityError(f"the 4-twisted root needs a quartic conductor, got {cond}")
-        return _membership(2, n, sqrt, cond) and math.lcm(4, n) % cond.value == 0
+        return _membership(2, n, profile) and math.lcm(4, n) % profile.conductor == 0
     if m == 3:
-        if cond is None or cond.base != 3:
-            raise LucasDensityError(f"the 3-twisted root needs a cubic conductor, got {cond}")
-        return n % cond.value == 0
+        return n % profile.conductor == 0
     if m == 6:
-        return _membership(2, n, sqrt, cond) and _membership(3, n, sqrt, cond)
+        return _membership(2, n, profile) and _membership(3, n, profile)
     raise LucasDensityError(f"no twisted-root membership test for m={m}")
 
 
-def kummer_degree(
-    n: int,
-    dd: int,
-    pix: PowerIndexData,
-    sqrt: SqrtData,
-    cond: Optional[ConductorData] = None,
-) -> int:
-    """[K(zeta_n, gamma^(1/dd)) : Q] in the twist-free normal form (h = h(1))."""
+def kummer_degree(n: int, dd: int, profile: KummerProfile) -> int:
+    """[K(zeta_n, gamma^(1/dd)) : Q] for the normal form gamma of the profile."""
     if n < 1 or dd < 1 or n % dd:
         raise LucasDensityError(f"need dd | n, got dd={dd}, n={n}")
-    h = pix.table[0]
-    if pix.h != h:
-        raise LucasDensityError(
-            f"kummer_degree needs h = h(1), got h(1) = {h} and h = {pix.h} at twist exponent"
-            f" {pix.zeta_star_exp}; pass the power index of the normal form {pix.gamma_tilde}")
+    h = profile.h
     t = 1
-    for m in divisors(len(pix.table)):
+    for m in divisors(len(profile.pix.table)):
         # h_m is the m-smooth part of h: the saturation depth at which the
         # zeta_m ambiguity of the dd-th root can be absorbed
         if m == 1 or dd % (m * gcd_power_infinity(h, m)):
             continue
-        if _membership(m, n, sqrt, cond):
+        if _membership(m, n, profile):
             t = m
     degree = dd * euler_phi(n) // (math.gcd(dd, h) * t)
-    if n % abs(pix.disc_k):
+    if n % abs(profile.gamma.disc_k):
         degree *= 2
     return degree
 
 
-def sigma_exists(
-    dv: int,
-    uv: int,
-    disc_k: int,
-    pix: PowerIndexData,
-    sqrt: SqrtData,
-) -> bool:
+def sigma_exists(dv: int, uv: int, profile: KummerProfile) -> bool:
     """Whether Gal(K_{dv,uv}/Q) contains the inverting automorphism.
 
     Always true for imaginary fields.  For real fields the obstruction depends
@@ -501,16 +505,18 @@ def sigma_exists(
     """
     if dv < 1 or uv < 1 or dv % uv:
         raise LucasDensityError(f"need uv | dv, got uv={uv}, dv={dv}")
+    disc_k = profile.gamma.disc_k
     if disc_k < 0:
         return True
     # 2-smooth part of the power index, same normalisation as the degree
     # formula's t-condition: the square-root tower over gamma only reaches
     # depth v2(h), and an odd factor in h must not enter the 2-adic test.
-    h2 = gcd_power_infinity(pix.h, 2)
-    in_square = sqrt.q_flag and (dv % abs(sqrt.delta1) == 0 or dv % abs(sqrt.delta2) == 0)
+    h2 = gcd_power_infinity(profile.h, 2)
+    sq = profile.sqrt
+    in_square = sq.q_flag and (dv % abs(sq.delta1) == 0 or dv % abs(sq.delta2) == 0)
     if uv % (2 * h2) or not in_square:
-        return dv % disc_k != 0 and (uv % h2 != 0 or sqrt.q_flag)
+        return dv % disc_k != 0 and (uv % h2 != 0 or sq.q_flag)
     return dv % disc_k != 0 and (
-        (not sqrt.c_positive and dv % abs(sqrt.delta1) == 0)
-        or (sqrt.c_positive and dv % abs(sqrt.delta2) == 0)
+        (not sq.c_positive and dv % abs(sq.delta1) == 0)
+        or (sq.c_positive and dv % abs(sq.delta2) == 0)
     )

@@ -15,23 +15,24 @@ across all of them at once in numpy int64, selecting each ladder step by
 arithmetic on the 0/1 bit rather than np.where.  One more ladder per prime
 gives chi(p) and t together: with t = num/den and b = D*den^2,
 f = b^((p-3)/2) satisfies f*b = chi(p), den^2 being a square, and
-chi(p)*f*D*den = 1/den.  rank() and the rank dump run the full order descent
-on the scalar chain, over the primes of m from arith.factorize, so they reach
-any prime.
+chi(p)*f*D*den = 1/den.  The primes of the excluded locus (2*a2*Delta, or
+2*D times the element's denominators and the numerator of its v) drop out by
+one residue test per chunk, with no factoring.  rank() and the rank dump run
+the full order descent on the scalar chain, over the primes of m from
+arith.factorize, so they reach any prime.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Union
 
 from .arith import factorize, is_probable_prime, jacobi, prime_factors
-from .errors import LimitError, LucasDensityError
-from .quadfield import QuadElem, SequenceContext, qf_norm, qf_trace
+from .errors import LimitError, LucasDensityError, TorsionError
+from .quadfield import QuadElem, SequenceContext, is_torsion, qf_norm, qf_trace
 
 if TYPE_CHECKING:
     import numpy as np
@@ -175,21 +176,21 @@ class _Chain:
 
     trace: Fraction  # t = tr(gamma), the V-chain parameter
     char_disc: int  # chi(p) is its Legendre symbol mod p
-    excluded: frozenset  # the primes dividing the excluded locus
+    locus: int  # the excluded primes are the ones dividing it
 
 
-@functools.lru_cache(maxsize=64)
 def _chain(target: Target) -> _Chain:
     if isinstance(target, SequenceContext):
         gamma, char_disc = target.gamma, target.delta
-        locus = (2, target.a2, target.delta)
+        locus = 2 * target.a2 * target.delta
     else:
         gamma, char_disc = target, target.disc_k
         if qf_norm(gamma) != 1:
             raise LucasDensityError("rank is defined for norm-1 elements only")
-        locus = (2, gamma.disc_k, gamma.u.denominator, gamma.v.denominator, gamma.v.numerator)
-    excluded = frozenset(q for n in locus for q, _ in factorize(n).pairs)
-    return _Chain(trace=qf_trace(gamma), char_disc=char_disc, excluded=excluded)
+        locus = 2 * gamma.disc_k * gamma.u.denominator * gamma.v.denominator * gamma.v.numerator
+    if is_torsion(gamma):
+        raise TorsionError(f"rank is undefined for the root of unity {gamma}")
+    return _Chain(trace=qf_trace(gamma), char_disc=char_disc, locus=locus)
 
 
 def _order(p: int, m: int, trace: Fraction) -> int:
@@ -206,7 +207,7 @@ def rank(p: int, target: Target) -> int:
     if p < 3 or not is_probable_prime(p):
         raise LucasDensityError(f"rank needs an odd prime, got {p}")
     chain = _chain(target)
-    if p in chain.excluded:
+    if chain.locus % p == 0:
         raise LucasDensityError(f"p = {p} divides the excluded locus of the input")
     return _order(p, p - jacobi(chain.char_disc % p, p), chain.trace)
 
@@ -281,22 +282,23 @@ def empirical_density(
     ``dump_path`` also writes a ``p,rank,jacobi,divisible`` CSV, with each
     rank found by the scalar descent that rank() uses.
     """
-    import numpy as np
     if d < 1:
         raise LucasDensityError(f"divisor must be positive, got {d}")
     if spf is None:
         spf = spf_sieve(max(x + 1, 4))
     primes = spf.primes_up_to(x)  # LimitError for any x past the sieve
-    primes = primes[primes > 2]
     chain = _chain(target)
-    primes = primes[~np.isin(primes, [q for q in chain.excluded if q <= x])]
-    powers = [(q, q**k) for q, k in factorize(d).pairs]
+    powers = [(q, q**k) for q, k in factorize(d)]
     trace = chain.trace
 
-    counted = plus = 0
+    counted = plus = eligible = 0
     rows: Optional[list] = [] if dump_path is not None else None
     for lo in range(0, len(primes), CHUNK):
         p = primes[lo : lo + CHUNK]
+        p = p[_residues(chain.locus, p) != 0]  # 2 divides the locus
+        if not len(p):  # the ladders need at least one prime
+            continue
+        eligible += len(p)
         chi, t = _chi_and_trace(trace.numerator, trace.denominator, chain.char_disc, p)
         hit = _divisible(t, p - chi, p, powers)
         counted += int(hit.sum())
@@ -305,7 +307,6 @@ def empirical_density(
             for q, side in zip(p.tolist(), chi.tolist()):
                 r = _order(q, q - side, trace)
                 rows.append((q, r, side, int(r % d == 0)))
-    eligible = len(primes)
     minus = counted - plus
     if rows is not None:
         with open(dump_path, "w", newline="") as fh:

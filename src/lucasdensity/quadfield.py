@@ -199,30 +199,6 @@ def make_context(a1: int, a2: int) -> SequenceContext:
 _CANDIDATE_PRIMES = 4  # split primes compared when choosing the p-adic modulus
 
 
-def _sqrt_mod_prime(n: int, p: int) -> int:
-    """Tonelli-Shanks; assumes p odd prime and n a nonzero square mod p."""
-    n %= p
-    if p % 4 == 3:
-        return pow(n, (p + 1) // 4, p)
-    # write p-1 = q * 2^s with q odd
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while jacobi(z, p) != -1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
-    while t != 1:
-        t2, i = t, 0
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
-    return r
-
-
 def _lift_root(z: int, alpha: int, n: int, p: int, exp: int) -> int:
     """Newton-lift z with z**n = alpha mod p to a root mod p**exp (p not dividing n*z)."""
     steps = []
@@ -372,7 +348,7 @@ def is_nth_power(x: QuadElem, n: int) -> Optional[QuadElem]:
         return None  # even powers are totally positive
     du, dv = x.u.denominator, x.v.denominator
     p, g, sylow = _choose_prime(disc, n, 2 * n * disc * du * dv * norm.numerator)
-    s = _sqrt_mod_prime(disc, p)
+    s = _roots_mod_prime(disc % p, 2, p, (p - 1) & (1 - p))[0]  # sylow: the 2-part of p - 1
     u_p = x.u.numerator * pow(du, -1, p)
     v_p = x.v.numerator * pow(dv, -1, p) * s
     alpha = (u_p + v_p) % p
@@ -458,28 +434,16 @@ def fundamental_unit(disc_k: int) -> QuadElem:
 class PowerIndexData:
     """h(zeta) for every torsion twist, with the maximising twist singled out.
 
-    ``table`` and ``roots`` are keyed by the exponent of the torsion generator
-    (the one returned by torsion_units); ``roots[j]`` is a table[j]-th root of
-    zeta^j * gamma.
+    ``table`` is keyed by the exponent j of the torsion generator (the one
+    returned by torsion_units); gamma_tilde = zeta^j * gamma for j =
+    zeta_star_exp, and gamma0 is an h-th root of gamma_tilde.
     """
 
-    disc_k: int
     table: dict[int, int]
-    roots: dict[int, QuadElem]
     h: int
     zeta_star_exp: int
     gamma_tilde: QuadElem
     gamma0: QuadElem
-
-    def restricted(self, m: int) -> tuple[int, int, QuadElem]:
-        """(h_m, exponent, root) maximising h(zeta) over twists with zeta^m = 1."""
-        nmu = len(self.table)
-        if m < 1 or nmu % m:
-            raise LucasDensityError(f"restricted({m}): m must divide the torsion order {nmu}")
-        eligible = [j for j in _tie_break_order(nmu) if j * m % nmu == 0]
-        h_m = max(self.table[j] for j in eligible)
-        j = next(j for j in eligible if self.table[j] == h_m)
-        return h_m, j, self.roots[j]
 
 
 def _tie_break_order(nmu: int) -> tuple[int, ...]:
@@ -510,7 +474,7 @@ def _support_exponents(x: QuadElem) -> list[tuple[int, int]]:
     c = math.lcm(x.u.denominator, x.v.denominator)
     a, b = int(x.u * c), int(x.v * c)
     assert a * a - disc * b * b == c * c, "norm-1 element expected"
-    return [(p, e - (p == 2)) for p, e in factorize(c).pairs if p != 2 or disc % 8 == 1]
+    return [(p, e - (p == 2)) for p, e in factorize(c) if p != 2 or disc % 8 == 1]
 
 
 def _log_sigma1(unit: QuadElem) -> float:
@@ -566,9 +530,7 @@ def power_index(gamma: QuadElem) -> PowerIndexData:
     h = max(table.values())
     j_star = next(j for j in _tie_break_order(len(units)) if table[j] == h)
     return PowerIndexData(
-        disc_k=disc,
         table=table,
-        roots=roots,
         h=h,
         zeta_star_exp=j_star,
         gamma_tilde=qf_mul(units[j_star], gamma),

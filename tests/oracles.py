@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from lucasdensity.arith import divisors, euler_phi, factorize, jacobi, moebius, prime_factors
 from lucasdensity.kummer import poly_field_disc, sqrt_data
-from lucasdensity.quadfield import QuadElem, _lift_root, _sqrt_mod_prime
+from lucasdensity.quadfield import QuadElem, _lift_root, _roots_mod_prime
 
 import math
 
@@ -86,7 +86,8 @@ def _sqrt_mod_prime_power(n: int, p: int, exp: int) -> int:
                 r += 1 << (k - 1)
             k += 1
         return r % (1 << exp)
-    return _lift_root(_sqrt_mod_prime(n, p), n % p ** exp, 2, p, exp)
+    root = _roots_mod_prime(n % p, 2, p, (p - 1) & (1 - p))[0]
+    return _lift_root(root, n % p ** exp, 2, p, exp)
 
 
 def padic_support_exponents(x: QuadElem) -> list[tuple[int, int]]:
@@ -121,7 +122,7 @@ def integralize(poly: list[Fraction]) -> list[int]:
     assert poly[-1] == 1
     need: dict[int, int] = {}  # p -> max over coefficients of ceil(e / (n-i))
     for i, c in enumerate(poly[:-1]):
-        for p, e in factorize(Fraction(c).denominator).pairs:
+        for p, e in factorize(Fraction(c).denominator):
             need[p] = max(need.get(p, 0), -(-e // (n - i)))
     m = math.prod(p ** k for p, k in need.items())
     return [int(Fraction(c) * m ** (n - i)) for i, c in enumerate(poly[:-1])] + [1]

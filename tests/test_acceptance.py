@@ -94,9 +94,8 @@ def test_criterion_2_intermediate_columns():
         if prof.sqrt.q_flag != exp.q:
             bad.append((str(exp.gamma), "q", prof.sqrt.q_flag))
             continue
-        cond = None if prof.cond is None else prof.cond.value
-        if cond != exp.conductor:
-            bad.append((str(exp.gamma), "conductor", cond))
+        if prof.conductor != exp.conductor:
+            bad.append((str(exp.gamma), "conductor", prof.conductor))
     conds = [e.conductor for e in REFERENCE_PROFILES if e.conductor is not None]
     ok = not bad and sorted(conds) == [7, 20, 40, 63, 208, 333]
     _report(

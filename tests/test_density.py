@@ -159,10 +159,7 @@ def test_reference_profiles():
         assert pix.zeta_star_exp == exp.zeta_exp, exp.gamma
         prof = kummer_profile(normal_form(exp.gamma))
         assert prof.sqrt.q_flag == exp.q, exp.gamma
-        if exp.conductor is None:
-            assert prof.cond is None
-        else:
-            assert prof.cond is not None and prof.cond.value == exp.conductor
+        assert prof.conductor == exp.conductor, exp.gamma
 
 
 def test_profile_caches_stay_bounded():
@@ -352,9 +349,8 @@ def test_oracle_enclosures_pinned():
 
 def _series_term(profile, d: int, v: int) -> Fraction:
     """Sum over u | d of mu(u) * (1 + sigma(dv, uv)) / [K_{dv,uv} : Q]: the v-th term."""
-    gamma, pix, sq, cond = profile.gamma, profile.pix, profile.sqrt, profile.cond
-    return sum((F(moebius(u) * (1 + sigma_exists(d * v, u * v, gamma.disc_k, pix, sq)),
-                  kummer_degree(d * v, u * v, pix, sq, cond)) for u in divisors(d)), F(0))
+    return sum((F(moebius(u) * (1 + sigma_exists(d * v, u * v, profile)),
+                  kummer_degree(d * v, u * v, profile)) for u in divisors(d)), F(0))
 
 
 def _high_powers(disc: int, exponents) -> list:
@@ -401,7 +397,7 @@ def test_series_euler_factor_primes_pinned():
     # the Fibonacci normal form (3 + sqrt 5)/2: h = 2, disc 5, and its square
     # root has norm -1, so the fixed integers are 32, 54, 5 and #mu = 2
     profile = kummer_profile(normal_form(make_context(1, -1)))
-    assert (profile.h, profile.sqrt.q_flag, profile.cond) == (2, False, None)
+    assert (profile.h, profile.sqrt.q_flag, profile.conductor) == (2, False, None)
     d = 2 * 3 * 5 * 7 * 11 * 13
     assert _stable_exponents(profile, d) == [(2, 5), (3, 3), (5, 1), (7, 0), (11, 0), (13, 0)]
 
@@ -447,11 +443,11 @@ def test_sixth_root_twists_pinned():
 # The two higher-twist scales as they were written per field before the
 # shared (q, c, K) table: an oracle independent of the merged formula.
 def _gauss_hi_scale(d, profile):
-    k = factorize(d).as_dict().get(2, 0)
+    k = dict(factorize(d)).get(2, 0)
     d_odd = d >> k
     h2 = gcd_power_infinity(profile.h, 2)
     m = int(8 * d_odd % abs(profile.sqrt.delta1) == 0) + int(
-        16 * d_odd % profile.cond.value == 0
+        16 * d_odd % profile.conductor == 0
     )
     if k == 0:
         factor = Fraction(1)
@@ -463,10 +459,10 @@ def _gauss_hi_scale(d, profile):
 
 
 def _eisen_homega_scale(d, profile):
-    k = factorize(d).as_dict().get(3, 0)
+    k = dict(factorize(d)).get(3, 0)
     d_prime = d // 3 ** k
     h3 = gcd_power_infinity(profile.h, 3)
-    m = int(9 * d_prime % profile.cond.value == 0)
+    m = int(9 * d_prime % profile.conductor == 0)
     if k == 0:
         factor = Fraction(1)
     elif k == 1:

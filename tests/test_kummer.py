@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from lucasdensity.arith import divisors, euler_phi, factorize
-from lucasdensity.density import CASE_GAUSS, dispatch
+from lucasdensity.density import CASE_GAUSS, dispatch, kummer_profile
 from lucasdensity.errors import DegenerateError, LucasDensityError, ReducibleError
 from lucasdensity.kummer import (
     _has_rational_root,
@@ -24,7 +24,6 @@ from lucasdensity.quadfield import (
     QuadElem,
     disc_and_scale,
     is_nth_power,
-    power_index,
     qf_conj,
     qf_inv,
     qf_mul,
@@ -77,7 +76,7 @@ def test_quad_disc_is_a_discriminant():
         odd = abs(d)
         while odd % 2 == 0:
             odd //= 2
-        assert all(e == 1 for _, e in factorize(odd).pairs), f"odd part of {d} not squarefree"
+        assert all(e == 1 for _, e in factorize(odd)), f"odd part of {d} not squarefree"
 
 
 # ---------------------------------------------------------------------------
@@ -332,13 +331,21 @@ QUARTIC_ROWS = [
 ]
 
 
+def _split_conductor(cond, base):
+    """(e, rest) with cond = base^e * rest, where rest must be squarefree and prime to base."""
+    e = 0
+    while cond % base == 0:
+        cond //= base
+        e += 1
+    assert all(k == 1 for _, k in factorize(cond)), f"tame part {cond} is not squarefree"
+    return e, cond
+
+
 def test_quartic_conductor_pinned():
     for elem, value, exponent, odd in QUARTIC_ROWS:
         cond = quartic_conductor(elem)
-        assert cond.value == value, f"conductor of {elem}"
-        assert cond.base == 2
-        assert cond.base_exponent == exponent
-        assert cond.squarefree_part == odd
+        assert cond == value, f"conductor of {elem}"
+        assert _split_conductor(cond, 2) == (exponent, odd)
 
 
 CUBIC_ROWS = [
@@ -351,10 +358,8 @@ CUBIC_ROWS = [
 def test_cubic_conductor_pinned():
     for elem, value, exponent, rest in CUBIC_ROWS:
         cond = cubic_conductor(elem)
-        assert cond.value == value, f"conductor of {elem}"
-        assert cond.base == 3
-        assert cond.base_exponent == exponent
-        assert cond.squarefree_part == rest
+        assert cond == value, f"conductor of {elem}"
+        assert _split_conductor(cond, 3) == (exponent, rest)
 
 
 def _powered_norm_one(rng, disc, n):
@@ -386,13 +391,13 @@ def test_conductors_pinned_on_large_denominators():
     for expected in QUARTIC_CORPUS_VALUES:
         z = _powered_norm_one(rng, -4, 2)
         cond = quartic_conductor(z)
-        assert cond.value == expected, f"quartic conductor of {z}"
-        assert cond.value == 2 ** cond.base_exponent * cond.squarefree_part
+        assert cond == expected, f"quartic conductor of {z}"
+        assert _split_conductor(cond, 2)[0] in (2, 3, 4)
     for expected in CUBIC_CORPUS_VALUES:
         z = _powered_norm_one(rng, -3, 3)
         cond = cubic_conductor(z)
-        assert cond.value == expected, f"cubic conductor of {z}"
-        assert cond.value == 3 ** cond.base_exponent * cond.squarefree_part
+        assert cond == expected, f"cubic conductor of {z}"
+        assert _split_conductor(cond, 3)[0] in (0, 2)
 
 
 def _residue_class(z):
@@ -406,6 +411,7 @@ def test_conductors_match_round_two_on_every_residue_class():
     for disc, n, conductor, reference, classes in (
             (-4, 2, quartic_conductor, reference_quartic_conductor, 32),
             (-3, 3, cubic_conductor, reference_cubic_conductor, 54)):
+        base = 2 if disc == -4 else 3
         corpus = {}
         for a in range(-27, 28):
             for b in range(1, 28):
@@ -422,8 +428,8 @@ def test_conductors_match_round_two_on_every_residue_class():
         assert len(corpus) == classes, disc
         for z in corpus.values():
             cond = conductor(z)
-            assert cond.value == reference(z), f"conductor of {z}"
-            assert cond.value == cond.base ** cond.base_exponent * cond.squarefree_part
+            assert cond == reference(z), f"conductor of {z}"
+            _split_conductor(cond, base)
 
 
 def test_conductors_reject_rational_roots():
@@ -449,7 +455,8 @@ def test_conductor_of_the_large_cubic_is_quick():
     t0 = time.perf_counter()
     cond = cubic_conductor(QuadElem(-3, u, v))
     assert time.perf_counter() - t0 < 1.0
-    assert (cond.value, cond.base_exponent, cond.squarefree_part) == (4396203, 2, 488467)
+    assert cond == 4396203 == 9 * 488467
+    assert _split_conductor(cond, 3) == (2, 488467)
 
 
 def test_gaussian_dispatch_with_large_coefficients_is_quick():
@@ -478,19 +485,17 @@ def test_conductor_shapes_on_random_norm_one_inputs():
         z = _random_norm_one(rng, -4)
         if is_nth_power(z, 2) is not None:
             continue
-        cond = quartic_conductor(z)
-        assert cond.value == 2 ** cond.base_exponent * cond.squarefree_part
-        assert cond.base_exponent in (2, 3, 4)
-        assert cond.squarefree_part % 2 == 1
+        exponent, rest = _split_conductor(quartic_conductor(z), 2)
+        assert exponent in (2, 3, 4)
+        assert rest % 2 == 1
         quartic_done += 1
     while cubic_done < 50:
         z = _random_norm_one(rng, -3)
         if is_nth_power(z, 3) is not None:
             continue
-        cond = cubic_conductor(z)
-        assert cond.value == 3 ** cond.base_exponent * cond.squarefree_part
-        assert cond.base_exponent in (0, 2)
-        assert cond.squarefree_part % 3 != 0
+        exponent, rest = _split_conductor(cubic_conductor(z), 3)
+        assert exponent in (0, 2)
+        assert rest % 3 != 0
         cubic_done += 1
 
 
@@ -513,74 +518,66 @@ def test_lcm_identity_on_random_norm_one_inputs():
 # ---------------------------------------------------------------------------
 
 
-def _profile(gamma):
-    pix = power_index(gamma)
-    sq = sqrt_data(pix.restricted(2)[2])
-    return pix, sq
-
-
 def test_kummer_degree_real_unit_square():
-    pix, sq = _profile(QuadElem(8, 3, 1))  # h = 2, square of 1+sqrt(2)
-    assert pix.h == 2 and pix.table[0] == 2
-    assert sq.q_flag is False
-    assert kummer_degree(2, 2, pix, sq) == 2
+    profile = kummer_profile(QuadElem(8, 3, 1))  # h = 2, square of 1+sqrt(2)
+    assert profile.h == 2 and profile.pix.table[0] == 2
+    assert profile.sqrt.q_flag is False
+    assert kummer_degree(2, 2, profile) == 2
 
 
 def test_kummer_degree_no_kummer_part():
-    pix, sq = _profile(QuadElem(5, F(3, 2), F(1, 2)))  # square of the golden unit
-    assert pix.h == 2
-    assert kummer_degree(4, 1, pix, sq) == 4
+    profile = kummer_profile(QuadElem(5, F(3, 2), F(1, 2)))  # square of the golden unit
+    assert profile.h == 2
+    assert kummer_degree(4, 1, profile) == 4
 
 
 def test_kummer_degree_gaussian_full_tower():
     gamma = QuadElem(-4, F(-3, 5), F(2, 5))
-    pix, sq = _profile(gamma)
-    assert pix.h == 1
-    cond = quartic_conductor(pix.restricted(2)[2])
-    assert cond.value == 20
-    assert kummer_degree(40, 4, pix, sq, cond) == 16
+    profile = kummer_profile(gamma)
+    assert profile.h == 1
+    assert profile.conductor == quartic_conductor(profile.pix.gamma0) == 20
+    assert kummer_degree(40, 4, profile) == 16
 
 
 def test_kummer_degree_rejects_non_divisor():
-    pix, sq = _profile(QuadElem(8, 3, 1))
+    profile = kummer_profile(QuadElem(8, 3, 1))
     with pytest.raises(LucasDensityError):
-        kummer_degree(10, 4, pix, sq)
+        kummer_degree(10, 4, profile)
 
 
 def test_kummer_degree_divisibility_bounds():
-    fixtures = []
-    for gamma in (QuadElem(8, 3, 1), QuadElem(5, F(3, 2), F(1, 2))):
-        pix, sq = _profile(gamma)
-        fixtures.append((pix, sq, None))
-    pix, sq = _profile(QuadElem(-4, F(-3, 5), F(2, 5)))
-    fixtures.append((pix, sq, quartic_conductor(pix.restricted(2)[2])))
-    pix, sq = _profile(QuadElem(-3, F(-13, 14), F(3, 14)))
-    fixtures.append((pix, sq, cubic_conductor(pix.restricted(6)[2])))
+    fixtures = [kummer_profile(gamma) for gamma in (
+        QuadElem(8, 3, 1), QuadElem(5, F(3, 2), F(1, 2)),
+        QuadElem(-4, F(-3, 5), F(2, 5)), QuadElem(-3, F(-13, 14), F(3, 14)))]
+    assert [p.conductor for p in fixtures] == [
+        None, None, quartic_conductor(fixtures[2].pix.gamma0),
+        cubic_conductor(fixtures[3].pix.gamma0)]
 
-    for pix, sq, cond in fixtures:
+    for profile in fixtures:
+        pix, disc = profile.pix, profile.gamma.disc_k
         h = pix.table[0]
         nmu = len(pix.table)
         for n in range(1, 61):
             for dd in (1, 2, 3, 4, 6):
                 if n % dd:
                     continue
-                deg = kummer_degree(n, dd, pix, sq, cond)
+                deg = kummer_degree(n, dd, profile)
                 phi = euler_phi(n)
-                assert (2 * dd * phi) % deg == 0, (pix.disc_k, n, dd, deg)
+                assert (2 * dd * phi) % deg == 0, (disc, n, dd, deg)
                 # lower bound: deg * (dd,h) * #mu(K) is a multiple of dd*phi(n)
-                assert (deg * math.gcd(dd, h) * nmu) % (dd * phi) == 0, (pix.disc_k, n, dd, deg)
+                assert (deg * math.gcd(dd, h) * nmu) % (dd * phi) == 0, (disc, n, dd, deg)
                 assert deg * math.gcd(dd, h) * nmu >= dd * phi
 
 
 def test_kummer_degree_eisenstein_power_pattern():
     # For 3 | disc: degree(3^(k+j)*n0, 3^k) keeps the shape cofactor * 3^(k+j-1)
     gamma = QuadElem(-3, F(-13, 14), F(3, 14))
-    pix, sq = _profile(gamma)
-    cond = cubic_conductor(pix.restricted(6)[2])
+    profile = kummer_profile(gamma)
+    assert profile.conductor == cubic_conductor(profile.pix.gamma0)
     for k in (1, 2):
         ratios = set()
         for j in range(0, 4):
-            deg = kummer_degree(3 ** (k + j) * 14, 3 ** k, pix, sq, cond)
+            deg = kummer_degree(3 ** (k + j) * 14, 3 ** k, profile)
             num, rem = divmod(deg, 3 ** (k + j - 1))
             assert rem == 0
             ratios.add(num)
@@ -590,12 +587,12 @@ def test_kummer_degree_eisenstein_power_pattern():
 def test_kummer_degree_gaussian_power_pattern():
     # For 2 | disc: degree(2^(k+j)*n0, 2^k) keeps the shape cofactor * 2^(k+j-2)
     gamma = QuadElem(-4, F(-3, 5), F(2, 5))
-    pix, sq = _profile(gamma)
-    cond = quartic_conductor(pix.restricted(2)[2])
+    profile = kummer_profile(gamma)
+    assert profile.conductor == quartic_conductor(profile.pix.gamma0)
     for k in (1, 2):
         ratios = set()
         for j in range(2, 6):  # j large enough that every membership has saturated
-            deg = kummer_degree(2 ** (k + j) * 5, 2 ** k, pix, sq, cond)
+            deg = kummer_degree(2 ** (k + j) * 5, 2 ** k, profile)
             num, rem = divmod(deg, 2 ** (k + j - 2))
             assert rem == 0
             ratios.add(num)
@@ -608,35 +605,36 @@ def test_kummer_degree_gaussian_power_pattern():
 
 
 def test_sigma_exists_imaginary_always():
-    pix, sq = _profile(QuadElem(-15, F(17, 32), F(7, 32)))
+    profile = kummer_profile(QuadElem(-15, F(17, 32), F(7, 32)))
     for dv in (1, 2, 6, 8, 30):
         for uv in (1, 2):
             if dv % uv:
                 continue
-            assert sigma_exists(dv, uv, -15, pix, sq) is True
+            assert sigma_exists(dv, uv, profile) is True
 
 
 def test_sigma_exists_real_norm_branch():
     # square of (5+sqrt(29))/2: h2 = 2, the h2-root has norm -1
-    pix, sq = _profile(QuadElem(29, F(27, 2), F(5, 2)))
-    assert pix.h == 2 and sq.q_flag is False
-    assert sigma_exists(8, 2, 29, pix, sq) is False
-    assert sigma_exists(8, 1, 29, pix, sq) is True
+    profile = kummer_profile(QuadElem(29, F(27, 2), F(5, 2)))
+    assert profile.h == 2 and profile.sqrt.q_flag is False
+    assert sigma_exists(8, 2, profile) is False
+    assert sigma_exists(8, 1, profile) is True
 
 
 def test_sigma_exists_real_square_branch():
     # square of (21+8*sqrt(5))/11: the h2-root has norm 1 and c = 5/11 > 0, delta2 = 44
     gamma = QuadElem(5, F(761, 121), F(336, 121))
-    pix, sq = _profile(gamma)
-    assert pix.h == 2 and sq.q_flag is True
+    profile = kummer_profile(gamma)
+    sq = profile.sqrt
+    assert profile.h == 2 and sq.q_flag is True
     assert sq.c == F(5, 11) and sq.delta1 == 220 and sq.delta2 == 44
-    assert sigma_exists(44, 4, 5, pix, sq) is True   # c > 0 and delta2 | dv
-    assert sigma_exists(44, 2, 5, pix, sq) is True   # falls into the first branch
-    assert sigma_exists(20, 4, 5, pix, sq) is False  # disc divides dv
-    assert sigma_exists(220, 4, 5, pix, sq) is False  # disc divides dv here too
+    assert sigma_exists(44, 4, profile) is True   # c > 0 and delta2 | dv
+    assert sigma_exists(44, 2, profile) is True   # falls into the first branch
+    assert sigma_exists(20, 4, profile) is False  # disc divides dv
+    assert sigma_exists(220, 4, profile) is False  # disc divides dv here too
 
 
 def test_sigma_exists_rejects_bad_pair():
-    pix, sq = _profile(QuadElem(8, 3, 1))
+    profile = kummer_profile(QuadElem(8, 3, 1))
     with pytest.raises(LucasDensityError):
-        sigma_exists(4, 3, 8, pix, sq)
+        sigma_exists(4, 3, profile)

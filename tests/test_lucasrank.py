@@ -11,11 +11,12 @@ import pytest
 
 from lucasdensity.arith import jacobi
 from lucasdensity.density import REFERENCE_PROFILES
-from lucasdensity.errors import LimitError, LucasDensityError
+from lucasdensity.errors import LimitError, LucasDensityError, TorsionError
 from lucasdensity.lucasrank import (
     EmpiricalReport,
     _chain,
     _chi_and_trace,
+    _residues,
     empirical_density,
     lucas_v_mod,
     rank,
@@ -196,6 +197,15 @@ def test_rank_direct_element_modes():
         rank(3, g)  # ramified
 
 
+def test_rank_and_counter_refuse_roots_of_unity():
+    # 1 once reached factorize(0) through the numerator of v; i was counted
+    # with ratio 1, though dispatch and the CLI refuse it
+    with pytest.raises(TorsionError, match=r"root of unity 1\+0\*sqrt\(5\)"):
+        rank(7, QuadElem(5, 1, 0))
+    with pytest.raises(TorsionError, match=r"root of unity \(0\+1\*sqrt\(-4\)\)/2"):
+        empirical_density(QuadElem(-4, 0, Fraction(1, 2)), 2, 1000)
+
+
 def _trial_prime_factors(n):
     out, q = [], 2
     while q * q <= n:
@@ -323,7 +333,7 @@ def test_chi_and_trace_match_scalar(spf_small):
     at_three = 0
     for target in [make_context(1, -1)] + _differential_targets():
         chain = _chain(target)
-        p = primes[~np.isin(primes, list(chain.excluded))]
+        p = primes[_residues(chain.locus, primes) != 0]
         num, den = chain.trace.numerator, chain.trace.denominator
         chi, t = _chi_and_trace(num, den, chain.char_disc, p)
         for q, c, r in zip(p.tolist(), chi.tolist(), t.tolist()):

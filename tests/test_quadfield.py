@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lucasdensity.density import dispatch
+from lucasdensity.density import REFERENCE_PROFILES, dispatch
 from lucasdensity.errors import (
     DiscMismatchError,
     DivisionByZeroError,
@@ -22,6 +22,7 @@ from lucasdensity.errors import (
 from lucasdensity.quadfield import (
     QuadElem,
     _support_exponents,
+    _tie_break_order,
     fundamental_unit,
     gamma_from_radicand,
     is_nth_power,
@@ -49,16 +50,18 @@ _OPTIMIZED_CHECK = """
 from fractions import Fraction
 from lucasdensity import (DensityResult, EmpiricalReport, LucasDensityError, QuadElem, STerm,
                           dispatch, make_context, power_index)
-from lucasdensity.kummer import (_membership, cubic_conductor, kummer_degree, quartic_conductor,
+from lucasdensity.density import kummer_profile
+from lucasdensity.kummer import (KummerProfile, _membership, cubic_conductor, quartic_conductor,
                                  sqrt_data)
+fib, gauss = make_context(1, -1).gamma, QuadElem(-4, Fraction(-3, 5), Fraction(2, 5))
 calls = [lambda disc=disc: dispatch(QuadElem(disc, 1, 1), 2) for disc in (7, 0, 9, 4)]
 calls.append(lambda: power_index(QuadElem(5, 2, 0)))
 calls.append(lambda: dispatch(QuadElem(20, Fraction(-3, 2), Fraction(-1, 4)), 2))
 calls.append(lambda: STerm(2, 1, 1, 0, Fraction(1), Fraction(1)))
-calls.append(lambda: kummer_degree(4, 2, power_index(make_context(1, -1).gamma),
-                                   sqrt_data(QuadElem(5, Fraction(3, 2), Fraction(1, 2)))))
-calls.append(lambda: power_index(QuadElem(-4, Fraction(-3, 5), Fraction(2, 5))).restricted(5))
-calls.append(lambda: _membership(5, 10, sqrt_data(QuadElem(5, Fraction(3, 2), Fraction(1, 2))), None))
+calls.append(lambda: KummerProfile(fib, power_index(fib),
+                                   sqrt_data(QuadElem(5, Fraction(3, 2), Fraction(1, 2))), None))
+calls.append(lambda: KummerProfile(gauss, power_index(gauss), sqrt_data(gauss), None))
+calls.append(lambda: _membership(5, 10, kummer_profile(QuadElem(5, Fraction(3, 2), Fraction(1, 2)))))
 calls.append(lambda: DensityResult(Fraction(2), Fraction(1), Fraction(1), "t", (), {}))
 calls.append(lambda: EmpiricalReport(1, -1, 2, 10, 3, 1, 1, 5, Fraction(3, 5),
                                      Fraction(1, 5), Fraction(1, 5)))
@@ -89,9 +92,10 @@ def test_quad_elem_validation_survives_optimize_flag():
         "LucasDensityError the unit (-6-1*sqrt(20))/4 is not +- a power of the"
         " fundamental unit of disc 20; disc_k may not be fundamental",
         "LucasDensityError STerm.nu must be a positive int, got 0",
-        "LucasDensityError kummer_degree needs h = h(1), got h(1) = 1 and h = 2 at twist"
-        " exponent 1; pass the power index of the normal form (3+1*sqrt(5))/2",
-        "LucasDensityError restricted(5): m must divide the torsion order 4",
+        "LucasDensityError (-3-1*sqrt(5))/2 is not in normal form: pass normal_form(gamma),"
+        " whose density can differ from the twisted element's",
+        "LucasDensityError the profile of (-3+2*sqrt(-4))/5 needs a conductor exactly over"
+        " disc -4 and -3, got None",
         "LucasDensityError no twisted-root membership test for m=5",
         "LucasDensityError DensityResult.delta=2 is outside [0, 1]",
         "LucasDensityError EmpiricalReport.counted=3 differs from counted_plus"
@@ -539,13 +543,39 @@ def test_power_index_conjugation(disc, u, v, h, j):
 def test_power_index_restricted():
     pix = power_index(QuadElem(-4, F(24, 25), F(7, 50)))
     # within {1, -1} nothing beats the trivial twist; within mu_4 the twist by i wins
-    h2, j2, _ = pix.restricted(2)
-    assert h2 == 1 and j2 == 0
-    h4, j4, root = pix.restricted(4)
-    assert h4 == 2 and j4 == 1
-    assert qf_pow(root, 2) == pix.gamma_tilde
+    assert pix.table[0] == 1 and pix.table[2] <= 1
+    assert (pix.h, pix.zeta_star_exp, pix.table[1]) == (2, 1, 2)
+    assert qf_pow(pix.gamma0, 2) == pix.gamma_tilde
 
     pix = power_index(QuadElem(-3, F(1031, 1369), F(-520, 1369)))
-    h2, j2, root2 = pix.restricted(2)
-    assert (h2, j2) == (2, 3)
-    assert root2 in (QuadElem(-3, F(13, 37), F(20, 37)), QuadElem(-3, F(-13, 37), F(-20, 37)))
+    # within {1, -1} the twist by -1 wins, and it is the overall maximum
+    assert pix.table[0] < pix.table[3] == 2 == pix.h and pix.zeta_star_exp == 3
+    assert pix.gamma0 in (QuadElem(-3, F(13, 37), F(20, 37)), QuadElem(-3, F(-13, 37), F(-20, 37)))
+
+
+def _old_restricted(pix, gamma, m):
+    """The former PowerIndexData.restricted(m) rule, with its root found as power_index finds it."""
+    nmu = len(pix.table)
+    eligible = [j for j in _tie_break_order(nmu) if j * m % nmu == 0]
+    h_m = max(pix.table[j] for j in eligible)
+    j = next(j for j in eligible if pix.table[j] == h_m)
+    return h_m, j, is_nth_power(qf_mul(torsion_units(gamma.disc_k)[j], gamma), pix.table[j])
+
+
+def test_old_restricted_root_is_gamma0_on_normal_forms():
+    # kummer_profile reads the square-root data and conductors off gamma0, where
+    # it used the mu_2-restricted (and, over disc -3, mu_6-restricted) root
+    bases = [exp.gamma for exp in REFERENCE_PROFILES]
+    corpus = bases + [qf_pow(g, k) for g in bases for k in (2, 3, 4, 6)]
+    rng = random.Random(1414)
+    while len(corpus) < 5 * len(bases) + 30:
+        try:
+            corpus.append(make_context(rng.randint(-40, 40), rng.randint(-40, 40)).gamma)
+        except LucasDensityError:
+            continue
+    for gamma in corpus:
+        norm = power_index(gamma).gamma_tilde
+        pix = power_index(norm)
+        assert pix.zeta_star_exp == 0, gamma
+        for m in (2, 6) if norm.disc_k == -3 else (2,):
+            assert _old_restricted(pix, norm, m) == (pix.h, 0, pix.gamma0), (gamma, m)
