@@ -208,6 +208,11 @@ def _resolve_target(args: argparse.Namespace) -> Target:
 # ---------------------------------------------------------------------------
 
 
+def _check_limit(limit: int) -> None:
+    if limit < 100:
+        raise LucasDensityError(f"--limit must be >= 100, got {limit}")
+
+
 def cmd_density(args: argparse.Namespace) -> int:
     target = _resolve_target(args)
     result = dispatch(target, args.d)
@@ -243,8 +248,7 @@ def cmd_density(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     target = _resolve_target(args)
-    if args.limit < 100:
-        raise LucasDensityError(f"verification limit must be >= 100, got {args.limit}")
+    _check_limit(args.limit)
     result = dispatch(target, args.d)
     t0 = time.perf_counter()
     spf = spf_sieve(args.limit + 1)
@@ -308,6 +312,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
+    if args.limit:
+        _check_limit(args.limit)
     spf = spf_sieve(args.limit + 1) if args.limit else None
     entries = []
     mismatches = 0

@@ -9,17 +9,24 @@ V_n(t) = gamma^n + gamma^-n, and gamma^n = 1 exactly when V_n(t) = 2.  The
 order divides m = p - chi(p), with chi(p) the Legendre symbol (D/p) of the
 discriminant D, so d | rank(p) is decided without factoring m: for each
 q^k || d, q^k must divide m and gamma^m' must differ from 1, where m' is m with
-its q-part cut down to q^(k-1).  The counter therefore needs only the primes,
-from a sieve of Eratosthenes over the odd numbers, and runs those ladders
-across all of them at once in numpy int64, selecting each ladder step by
-arithmetic on the 0/1 bit rather than np.where.  One more ladder per prime
-gives chi(p) and t together: with t = num/den and b = D*den^2,
-f = b^((p-3)/2) satisfies f*b = chi(p), den^2 being a square, and
-chi(p)*f*D*den = 1/den.  The primes of the excluded locus (2*a2*Delta, or
-2*D times the element's denominators and the numerator of its v) drop out by
-one residue test per chunk, with no factoring.  rank() and the rank dump run
-the full order descent on the scalar chain, over the primes of m from
-arith.factorize, so they reach any prime.
+its q-part cut down to q^(k-1).
+
+The counter needs only the primes, from a sieve of Eratosthenes over the odd
+numbers, and works on a chunk of them at a time in numpy int64.  The primes of
+the excluded locus (2*a2*Delta, or 2*D times the element's denominators and the
+numerator of its v) drop out by one residue test per chunk, with no factoring;
+the rest are eligible.  As m is p - 1 or p + 1, a prime can count only if
+p = +-1 mod q^k for every q^k || d, and the others leave before any ladder
+runs.  The survivors get chi(p) and t from one power ladder: with t = num/den
+and b = D*den^2, f = b^((p-3)/2) satisfies f*b = chi(p), den^2 being a square,
+and chi(p)*f*D*den = 1/den.  One mask then keeps the primes with q^k | m for
+every q^k, and the Lucas-V ladders run largest q^k first, each on the primes
+the mask and the ladders before it kept.  The q-part of m is cut with no loop
+over the primes: by the lowest set bit for q = 2, and over a shrinking set of
+still divisible entries for odd q.  The ladders select each step by arithmetic
+on the 0/1 bit rather than np.where.  rank() and the rank dump run the full
+order descent on the scalar chain, over the primes of m from arith.factorize,
+so they reach any prime.
 """
 
 from __future__ import annotations
@@ -256,16 +263,22 @@ def _divisible(
     """d | order of gamma for every prime, given (q, q^k) for each q^k || d."""
     import numpy as np
     hit = np.ones(len(p), dtype=bool)
-    for q, qk in powers:
-        if qk > int(m.max()):
-            return np.zeros(len(p), dtype=bool)
-        idx = np.flatnonzero(hit & (m % qk == 0))
+    for _, qk in powers:
+        hit &= m % qk == 0
+    for q, qk in sorted(powers, key=lambda power: power[1], reverse=True):
+        idx = np.flatnonzero(hit)
+        if not len(idx):
+            break
         cut = m[idx] // qk
-        while (deeper := cut % q == 0).any():
-            cut[deeper] //= q
-        hit[:] = False
-        if len(idx):
-            hit[idx] = _lucas_v_many(cut * (qk // q), t[idx], p[idx]) != 2
+        if q == 2:
+            cut //= cut & -cut
+        else:
+            live = np.flatnonzero(cut % q == 0)
+            while len(live):
+                cut[live] //= q
+                live = live[cut[live] % q == 0]
+        # m' = the q-free part of m times q^(k-1)
+        hit[idx] = _lucas_v_many(cut * (qk // q), t[idx], p[idx]) != 2
     return hit
 
 
@@ -279,8 +292,9 @@ def empirical_density(
 ) -> EmpiricalReport:
     """Count primes p <= x with d | rank(p), split by the character of p.
 
-    ``dump_path`` also writes a ``p,rank,jacobi,divisible`` CSV, with each
-    rank found by the scalar descent that rank() uses.
+    ``dump_path`` also writes a ``p,rank,jacobi,divisible`` CSV for every
+    eligible prime, with the scalar Legendre symbol and order descent that
+    rank() uses.
     """
     if d < 1:
         raise LucasDensityError(f"divisor must be positive, got {d}")
@@ -296,17 +310,21 @@ def empirical_density(
     for lo in range(0, len(primes), CHUNK):
         p = primes[lo : lo + CHUNK]
         p = p[_residues(chain.locus, p) != 0]  # 2 divides the locus
+        eligible += len(p)
+        if rows is not None:
+            for q in p.tolist():
+                side = jacobi(chain.char_disc % q, q)
+                r = _order(q, q - side, trace)
+                rows.append((q, r, side, int(r % d == 0)))
+        for _, qk in powers:  # q^k | p - chi(p) needs p = +-1 mod q^k
+            res = p % qk
+            p = p[(res == 1) | (res == qk - 1)]
         if not len(p):  # the ladders need at least one prime
             continue
-        eligible += len(p)
         chi, t = _chi_and_trace(trace.numerator, trace.denominator, chain.char_disc, p)
         hit = _divisible(t, p - chi, p, powers)
         counted += int(hit.sum())
         plus += int((hit & (chi == 1)).sum())
-        if rows is not None:
-            for q, side in zip(p.tolist(), chi.tolist()):
-                r = _order(q, q - side, trace)
-                rows.append((q, r, side, int(r % d == 0)))
     minus = counted - plus
     if rows is not None:
         with open(dump_path, "w", newline="") as fh:

@@ -252,15 +252,15 @@ def _choose_prime(disc: int, n: int, excluded: int) -> tuple[int, int, int]:
             return best
 
 
-def _roots_mod_prime(alpha: int, n: int, p: int, sylow: int) -> list[int]:
+def _roots_mod_prime(alpha: int, n: int, p: int, sylow: int, qs: tuple[int, ...]) -> list[int]:
     """Every z with z**n = alpha mod p, for an alpha that has one.
 
-    F_p^* is the product of its subgroup S of order ``sylow`` (the primes of n)
-    and a complement R of order r prime to n.  On R the n-th root is unique; on
-    the cyclic S it comes from a discrete log, which takes at most ``sylow`` steps.
+    F_p^* is the product of its subgroup S of order ``sylow`` (the primes of n
+    dividing p - 1, which ``qs`` lists) and a complement R of order r prime to n.
+    On R the n-th root is unique; on the cyclic S it comes from a discrete log,
+    which takes at most ``sylow`` steps.
     """
     r = (p - 1) // sylow
-    qs = prime_factors(sylow)
     gen = next(c for c in (pow(h, r, p) for h in range(2, p))
                if all(pow(c, sylow // q, p) != 1 for q in qs))
     z_r = pow(pow(alpha, sylow * pow(sylow, -1, r), p), pow(n, -1, r), p)
@@ -348,7 +348,7 @@ def is_nth_power(x: QuadElem, n: int) -> Optional[QuadElem]:
         return None  # even powers are totally positive
     du, dv = x.u.denominator, x.v.denominator
     p, g, sylow = _choose_prime(disc, n, 2 * n * disc * du * dv * norm.numerator)
-    s = _roots_mod_prime(disc % p, 2, p, (p - 1) & (1 - p))[0]  # sylow: the 2-part of p - 1
+    s = _roots_mod_prime(disc % p, 2, p, (p - 1) & (1 - p), (2,))[0]  # sylow: the 2-part of p - 1
     u_p = x.u.numerator * pow(du, -1, p)
     v_p = x.v.numerator * pow(dv, -1, p) * s
     alpha = (u_p + v_p) % p
@@ -370,7 +370,8 @@ def is_nth_power(x: QuadElem, n: int) -> Optional[QuadElem]:
     half, half_s = pow(2, -1, mod), pow(2 * s, -1, mod)
     norms = (norm_root, -norm_root) if disc > 0 and n % 2 == 0 else (norm_root,)
     norms_mod = [nr.numerator * pow(nr.denominator, -1, mod) % mod for nr in norms]
-    for z in _roots_mod_prime(alpha % p, n, p, sylow):
+    qs = tuple(q for q in prime_factors(n) if sylow % q == 0)
+    for z in _roots_mod_prime(alpha % p, n, p, sylow, qs):
         y1 = _lift_root(z, alpha, n, p, k)
         y1_inv = pow(y1, -1, mod)
         for nm in norms_mod:

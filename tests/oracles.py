@@ -86,7 +86,7 @@ def _sqrt_mod_prime_power(n: int, p: int, exp: int) -> int:
                 r += 1 << (k - 1)
             k += 1
         return r % (1 << exp)
-    root = _roots_mod_prime(n % p, 2, p, (p - 1) & (1 - p))[0]
+    root = _roots_mod_prime(n % p, 2, p, (p - 1) & (1 - p), (2,))[0]
     return _lift_root(root, n % p ** exp, 2, p, exp)
 
 

@@ -184,6 +184,16 @@ def test_tables_csv(capsys):
     assert len(lines) == 19
 
 
+@pytest.mark.parametrize("limit", ["1", "-5"])
+def test_tables_limit_floor(capsys, limit):
+    # without the check, 1 prints "empirical 0.000000" over 0 eligible primes
+    # and -5 fails in the sieve with a message that does not name --limit
+    code, out, err = run_cli(capsys, "tables", "--limit", limit)
+    assert code == 2
+    assert out == ""
+    assert f"invalid input: --limit must be >= 100, got {limit}" in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -213,7 +223,7 @@ def test_verify_limit_floor(capsys):
         capsys, "verify", "--a1", "1", "--a2", "-1", "--d", "2", "--limit", "50"
     )
     assert code == 2
-    assert "invalid input" in err
+    assert "invalid input: --limit must be >= 100, got 50" in err
 
 
 @pytest.mark.parametrize("subcommand", ["density", "verify", "explain"])

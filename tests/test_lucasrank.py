@@ -304,7 +304,9 @@ def _differential_targets():
 
 def test_empirical_counter_matches_scalar_rank(spf_small):
     x = 50_000
-    divisors = (1, 2, 4, 6, 9, 12, 30, 111)
+    # prime powers up to 2^6 and 7^2, several primes at once, and 2^17 > x + 1,
+    # which no p - (D/p) reaches: every prime is eligible and none counts
+    divisors = (1, 2, 4, 6, 9, 12, 30, 111, 8, 16, 25, 27, 49, 60, 64, 385, 2**17)
     on_a1 = 0
     for target in _differential_targets():
         is_pair = isinstance(target, SequenceContext)
@@ -325,6 +327,8 @@ def test_empirical_counter_matches_scalar_rank(spf_small):
             assert rep.eligible == len(ranks), (str(target), d)
             assert rep.counted == sum(hits), (str(target), d)
             assert rep.counted_plus == sum(h and s for h, s in zip(hits, plus_side))
+            if d > x + 1:
+                assert rep.counted == 0, str(target)
     assert on_a1 >= 3
 
 
