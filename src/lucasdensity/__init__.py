@@ -26,6 +26,7 @@ from .errors import (
 from .lucasrank import (
     EmpiricalReport,
     SpfTable,
+    dump_ranks,
     empirical_density,
     rank,
     spf_sieve,
@@ -62,6 +63,7 @@ __all__ = [
     "ZeroParameterError",
     "__version__",
     "dispatch",
+    "dump_ranks",
     "empirical_density",
     "gamma_from_radicand",
     "make_context",

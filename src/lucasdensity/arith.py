@@ -164,6 +164,13 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(fac.items()))
 
 
+def validate_positive(**kwargs: int) -> None:
+    """Raise LucasDensityError naming the first argument that is not an int >= 1 (bool refused)."""
+    for name, val in kwargs.items():
+        if not isinstance(val, int) or isinstance(val, bool) or val < 1:
+            raise LucasDensityError(f"{name} must be a positive integer, got {val!r}")
+
+
 def divisors(n: int) -> list[int]:
     """Sorted positive divisors of |n|."""
     divs = [1]

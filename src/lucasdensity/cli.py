@@ -22,7 +22,7 @@ from .errors import (
     TorsionError,
     UnreachableCaseError,
 )
-from .lucasrank import empirical_density, spf_sieve
+from .lucasrank import dump_ranks, empirical_density, spf_sieve
 from .quadfield import (
     QuadElem,
     SequenceContext,
@@ -249,19 +249,13 @@ def cmd_density(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     target = _resolve_target(args)
     _check_limit(args.limit)
-    result = dispatch(target, args.d)
+    delta = dispatch(target, args.d).delta
     t0 = time.perf_counter()
-    spf = spf_sieve(args.limit + 1)
-    report = empirical_density(
-        target,
-        args.d,
-        args.limit,
-        spf=spf,
-        reference=result.delta,
-        dump_path=args.dump_ranks,
-    )
+    report = empirical_density(target, args.d, args.limit)
     runtime = time.perf_counter() - t0
-    delta = result.delta
+    if args.dump_ranks is not None:
+        dump_ranks(target, args.d, args.limit, args.dump_ranks)
+    deviation = abs(report.ratio - delta)
     tolerance = (
         Fraction(3)
         * Fraction(float((delta * (1 - delta) / report.eligible) ** 0.5))
@@ -269,7 +263,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if report.eligible
         else Fraction(1)
     )
-    passed = report.deviation <= tolerance
+    passed = deviation <= tolerance
 
     if args.format == "json":
         print(
@@ -282,7 +276,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     "counted": report.counted,
                     "eligible": report.eligible,
                     "x": report.x,
-                    "deviation": float(report.deviation),
+                    "deviation": float(deviation),
                     "tolerance": float(tolerance),
                     "passed": passed,
                     "runtime_seconds": round(runtime, 3),
@@ -294,7 +288,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(
             f"{report.d},{report.x},{report.counted},{report.counted_plus},"
             f"{report.counted_minus},{report.eligible},{_rat(report.ratio)},"
-            f"{_rat(delta)},{float(report.deviation):.8f},{int(passed)}"
+            f"{_rat(delta)},{float(deviation):.8f},{int(passed)}"
         )
     else:
         print(f"closed form delta = {_rat_dec(delta)}")
@@ -302,7 +296,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"empirical ratio = {_rat(report.ratio)} ({_decimal6(report.ratio)}) "
             f"over {report.eligible} eligible primes up to {report.x}"
         )
-        print(f"deviation = {_decimal6(Fraction(report.deviation))}")
+        print(f"deviation = {_decimal6(deviation)}")
         print(f"tolerance = {_decimal6(tolerance)}")
         print(f"{'PASS' if passed else 'FAIL'} (runtime {runtime:.1f}s)")
 
@@ -314,7 +308,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_tables(args: argparse.Namespace) -> int:
     if args.limit:
         _check_limit(args.limit)
-    spf = spf_sieve(args.limit + 1) if args.limit else None
+    spf = spf_sieve(args.limit) if args.limit else None
     entries = []
     mismatches = 0
     for row in REFERENCE_ROWS:
@@ -332,12 +326,9 @@ def cmd_tables(args: argparse.Namespace) -> int:
         if row.annotation:
             entry["annotation"] = row.annotation
         if spf is not None:
-            report = empirical_density(
-                row.gamma, row.d, args.limit, spf=spf,
-                reference=row.delta,
-            )
-            entry["empirical"] = float(report.ratio)
-            entry["deviation"] = float(report.deviation)
+            ratio = empirical_density(row.gamma, row.d, args.limit, spf=spf).ratio
+            entry["empirical"] = float(ratio)
+            entry["deviation"] = float(abs(ratio - row.delta))
         entries.append(entry)
 
     if args.format == "json":

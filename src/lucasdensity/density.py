@@ -34,6 +34,7 @@ from .arith import (
     gcd_power_infinity,
     moebius,
     prime_factors,
+    validate_positive,
 )
 from .errors import (
     HypothesisError,
@@ -53,6 +54,7 @@ from .quadfield import (
     PowerIndexData,
     QuadElem,
     SequenceContext,
+    disc_and_scale,
     power_index,
     qf_conj,
 )
@@ -148,15 +150,9 @@ class DensityResult:
 # closed-form S evaluation
 
 
-def _validate_positive(**kwargs: int) -> None:
-    for name, val in kwargs.items():
-        if not isinstance(val, int) or isinstance(val, bool) or val < 1:
-            raise LucasDensityError(f"{name} must be a positive integer, got {val!r}")
-
-
 def s_eval(d: int, e: int, h: int, nu: int = 1) -> Fraction:
     """Closed form of the inner density sum S_{d,e,h}(nu)."""
-    _validate_positive(d=d, e=e, h=h, nu=nu)
+    validate_positive(d=d, e=e, h=h, nu=nu)
     if nu % gcd_power_infinity(h, nu):
         raise HypothesisError(
             f"s_eval({d},{e},{h},{nu}): ({h},{nu}^inf) does not divide {nu}"
@@ -190,12 +186,22 @@ def _pix(gamma: QuadElem) -> PowerIndexData:
     return power_index(gamma)
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _field_disc(disc: int) -> int:
+    return disc_and_scale(disc)[0]
+
+
 def _gamma_of(target: Target) -> QuadElem:
     if isinstance(target, SequenceContext):
-        return target.gamma
-    if isinstance(target, QuadElem):
-        return target
-    raise LucasDensityError(f"expected a sequence context or field element, got {target!r}")
+        return target.gamma  # make_context took its disc_k from disc_and_scale
+    if not isinstance(target, QuadElem):
+        raise LucasDensityError(f"expected a sequence context or field element, got {target!r}")
+    if _field_disc(target.disc_k) != target.disc_k:
+        raise LucasDensityError(
+            f"disc_k = {target.disc_k} is not a fundamental discriminant (the field's is"
+            f" {_field_disc(target.disc_k)}): build the element with gamma_from_radicand"
+        )
+    return target
 
 
 def normal_form(target: Target) -> QuadElem:
@@ -212,6 +218,8 @@ def kummer_profile(gamma: QuadElem) -> KummerProfile:
     """Profile of a normal-form element (maximal twist already at zeta = 1).
 
     The square-root data and the conductor are read off the h-th root gamma0.
+    gamma.disc_k must be fundamental, or the profile can be silently wrong;
+    dispatch, series_oracle and normal_form refuse any other disc_k.
     """
     pix = _pix(gamma)
     root = pix.gamma0
@@ -267,9 +275,11 @@ def series_oracle(target: Target, d: int) -> Fraction:
     denominators.  The element must be in normal form (see normal_form).
     """
     gamma = _gamma_of(target)
-    _validate_positive(d=d)
-    profile = kummer_profile(gamma)
+    validate_positive(d=d)
+    return _series(kummer_profile(gamma), d)
 
+
+def _series(profile: KummerProfile, d: int) -> Fraction:
     # (v, w): w = prod over live p of p^2 if a_p = T_p else p^2 - 1, so the
     # weight of v is w / scale
     vs, scale, live = [(1, 1)], 1, 1
@@ -385,7 +395,7 @@ def _normal(d: int, profile: KummerProfile) -> DensityResult:
             trace.append(STerm(d, e_row, h, nu, Fraction(c_plus + c_minus), value))
     result = _result(dplus, dminus, tag, tuple(trace), _echo_base(profile, **extra))
     if tag == CASE_ODD_GENERIC:
-        series = series_oracle(profile.gamma, d)
+        series = _series(profile, d)
         if series != result.delta:
             raise OracleMismatchError(
                 f"closed form {result.delta} differs from the series sum {series} "
@@ -439,7 +449,7 @@ def _hi_twist(d: int, twisted: QuadElem, echo_extra: dict) -> DensityResult:
 def dispatch(target: Target, d: int) -> DensityResult:
     """Route (gamma, d) to its case formula and return the certified result."""
     gamma = _gamma_of(target)
-    _validate_positive(d=d)
+    validate_positive(d=d)
     return _dispatch(gamma, d)
 
 

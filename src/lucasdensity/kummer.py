@@ -464,8 +464,6 @@ class KummerProfile:
 def _membership(m: int, n: int, profile: KummerProfile) -> bool:
     """Whether the m-twisted root of gamma lies in K(zeta_n)."""
     sq = profile.sqrt
-    if m == 1:
-        return True
     if m == 2:
         return sq.q_flag and (n % abs(sq.delta1) == 0 or n % abs(sq.delta2) == 0)
     if m == 4:

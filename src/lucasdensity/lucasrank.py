@@ -24,9 +24,12 @@ every q^k, and the Lucas-V ladders run largest q^k first, each on the primes
 the mask and the ladders before it kept.  The q-part of m is cut with no loop
 over the primes: by the lowest set bit for q = 2, and over a shrinking set of
 still divisible entries for odd q.  The ladders select each step by arithmetic
-on the 0/1 bit rather than np.where.  rank() and the rank dump run the full
-order descent on the scalar chain, over the primes of m from arith.factorize,
-so they reach any prime.
+on the 0/1 bit rather than np.where.  A d with some q^k > x + 1 counts nothing,
+since no p <= x has q^k | p +- 1, and its q^k may not fit in int64.
+
+rank() and dump_ranks() run the full order descent on the scalar chain, over
+the primes of m from arith.factorize, so they reach any prime.  The dump is a
+separate pass over the same eligible primes and takes no part in the count.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Union
 
-from .arith import factorize, is_probable_prime, jacobi, prime_factors
+from .arith import factorize, is_probable_prime, jacobi, prime_factors, validate_positive
 from .errors import LimitError, LucasDensityError, TorsionError
 from .quadfield import QuadElem, SequenceContext, is_torsion, qf_norm, qf_trace
 
@@ -228,8 +231,6 @@ def rank(p: int, target: Target) -> int:
 class EmpiricalReport:
     """Counts and ratios of primes p <= x with d | rank(p)."""
 
-    a1: Optional[int]
-    a2: Optional[int]
     d: int
     x: int
     counted: int
@@ -239,7 +240,6 @@ class EmpiricalReport:
     ratio: Fraction
     ratio_plus: Fraction
     ratio_minus: Fraction
-    reference_delta: Optional[Fraction] = None
 
     def __post_init__(self) -> None:
         if self.counted != self.counted_plus + self.counted_minus:
@@ -249,12 +249,6 @@ class EmpiricalReport:
         if not 0 <= self.counted <= self.eligible:
             raise LucasDensityError(
                 f"EmpiricalReport.counted={self.counted} is outside [0, eligible={self.eligible}]")
-
-    @property
-    def deviation(self) -> Optional[Fraction]:
-        if self.reference_delta is None:
-            return None
-        return abs(self.ratio - self.reference_delta)
 
 
 def _divisible(
@@ -283,39 +277,25 @@ def _divisible(
 
 
 def empirical_density(
-    target: Target,
-    d: int,
-    x: int,
-    spf: Optional[SpfTable] = None,
-    reference: Optional[Fraction] = None,
-    dump_path: Optional[str] = None,
+    target: Target, d: int, x: int, spf: Optional[SpfTable] = None
 ) -> EmpiricalReport:
-    """Count primes p <= x with d | rank(p), split by the character of p.
-
-    ``dump_path`` also writes a ``p,rank,jacobi,divisible`` CSV for every
-    eligible prime, with the scalar Legendre symbol and order descent that
-    rank() uses.
-    """
-    if d < 1:
-        raise LucasDensityError(f"divisor must be positive, got {d}")
+    """Count primes p <= x with d | rank(p), split by the character of p."""
+    validate_positive(d=d)
     if spf is None:
-        spf = spf_sieve(max(x + 1, 4))
+        spf = spf_sieve(max(x, 2))
     primes = spf.primes_up_to(x)  # LimitError for any x past the sieve
     chain = _chain(target)
     powers = [(q, q**k) for q, k in factorize(d)]
+    reachable = all(qk <= x + 1 for _, qk in powers)
     trace = chain.trace
 
     counted = plus = eligible = 0
-    rows: Optional[list] = [] if dump_path is not None else None
     for lo in range(0, len(primes), CHUNK):
         p = primes[lo : lo + CHUNK]
         p = p[_residues(chain.locus, p) != 0]  # 2 divides the locus
         eligible += len(p)
-        if rows is not None:
-            for q in p.tolist():
-                side = jacobi(chain.char_disc % q, q)
-                r = _order(q, q - side, trace)
-                rows.append((q, r, side, int(r % d == 0)))
+        if not reachable:
+            continue
         for _, qk in powers:  # q^k | p - chi(p) needs p = +-1 mod q^k
             res = p % qk
             p = p[(res == 1) | (res == qk - 1)]
@@ -326,24 +306,24 @@ def empirical_density(
         counted += int(hit.sum())
         plus += int((hit & (chi == 1)).sum())
     minus = counted - plus
-    if rows is not None:
-        with open(dump_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["p", "rank", "jacobi", "divisible"])
-            writer.writerows(rows)
+    ratios = [Fraction(n, eligible) if eligible else Fraction(0) for n in (counted, plus, minus)]
+    return EmpiricalReport(d, x, counted, plus, minus, eligible, *ratios)
 
-    zero = Fraction(0)
-    return EmpiricalReport(
-        a1=target.a1 if isinstance(target, SequenceContext) else None,
-        a2=target.a2 if isinstance(target, SequenceContext) else None,
-        d=d,
-        x=x,
-        counted=counted,
-        counted_plus=plus,
-        counted_minus=minus,
-        eligible=eligible,
-        ratio=Fraction(counted, eligible) if eligible else zero,
-        ratio_plus=Fraction(plus, eligible) if eligible else zero,
-        ratio_minus=Fraction(minus, eligible) if eligible else zero,
-        reference_delta=reference,
-    )
+
+def dump_ranks(target: Target, d: int, x: int, path: str) -> None:
+    """Write a ``p,rank,jacobi,divisible`` CSV row for every eligible prime p <= x.
+
+    The rows come from the scalar Legendre symbol and the order descent that
+    rank() uses, so the ``divisible`` column sums to empirical_density's count.
+    """
+    validate_positive(d=d)
+    chain = _chain(target)
+    primes = spf_sieve(max(x, 2)).primes_up_to(x).tolist()
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["p", "rank", "jacobi", "divisible"])
+        for p in primes:
+            if chain.locus % p:
+                side = jacobi(chain.char_disc % p, p)
+                r = _order(p, p - side, chain.trace)
+                writer.writerow((p, r, side, int(r % d == 0)))

@@ -492,7 +492,11 @@ def _log_sigma1(unit: QuadElem) -> float:
 
 
 def power_index(gamma: QuadElem) -> PowerIndexData:
-    """h(zeta) for all torsion zeta, and the data of the maximising twist."""
+    """h(zeta) for all torsion zeta, and the data of the maximising twist.
+
+    gamma.disc_k must be fundamental (see disc_and_scale): over another
+    discriminant the index can be silently wrong.
+    """
     disc = gamma.disc_k
     if qf_norm(gamma) != 1:
         raise LucasDensityError(f"power index needs a norm-1 element, got {gamma}")

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from lucasdensity import REFERENCE_ROWS, empirical_density, make_context
 from lucasdensity.cli import main
 
 
@@ -194,9 +195,81 @@ def test_tables_limit_floor(capsys, limit):
     assert f"invalid input: --limit must be >= 100, got {limit}" in err
 
 
+def _empirical_column(limit):
+    """(empirical, deviation) per reference row, from the library counter."""
+    out = []
+    for row in REFERENCE_ROWS:
+        ratio = empirical_density(row.gamma, row.d, limit).ratio
+        out.append((float(ratio), float(abs(ratio - row.delta))))
+    return out
+
+
+def test_tables_limit_json(capsys):
+    code, out, _ = run_cli(capsys, "tables", "--limit", "2000", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert [(r["empirical"], r["deviation"]) for r in rows] == _empirical_column(2000)
+
+
+def test_tables_limit_csv(capsys):
+    code, out, _ = run_cli(capsys, "tables", "--limit", "2000", "--format", "csv")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "gamma,d,case,computed,expected,match,empirical,deviation"
+    want = [f"{e:.6f},{dev:.6f}" for e, dev in _empirical_column(2000)]
+    assert [",".join(line.split(",")[-2:]) for line in lines[1:]] == want
+
+
+def test_tables_limit_text(capsys):
+    code, out, _ = run_cli(capsys, "tables", "--limit", "2000")
+    assert code == 0
+    tails = [line.split("  empirical ")[1] for line in out.splitlines() if "  empirical " in line]
+    assert tails == [f"{e:.6f} (dev {dev:.6f})" for e, dev in _empirical_column(2000)]
+    assert "18/18 rows match" in out
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
+
+
+def test_verify_csv(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--a1", "1", "--a2", "-1", "--d", "2", "--limit", "2000",
+        "--format", "csv",
+    )
+    assert code == 0
+    rep = empirical_density(make_context(1, -1), 2, 2000)
+    dev = abs(rep.ratio - Fraction(2, 3))
+    assert out.splitlines() == [
+        "d,x,counted,counted_plus,counted_minus,eligible,ratio,delta,deviation,passed",
+        f"2,2000,{rep.counted},{rep.counted_plus},{rep.counted_minus},{rep.eligible},"
+        f"{rep.ratio.numerator}/{rep.ratio.denominator},2/3,{float(dev):.8f},1",
+    ]
+
+
+@pytest.mark.parametrize("subcommand", ["verify", "tables"])
+def test_limit_at_the_sieve_ceiling(capsys, monkeypatch, subcommand):
+    # a limit equal to the ceiling sieves to the ceiling, not one past it
+    monkeypatch.setattr("lucasdensity.lucasrank.SIEVE_CEILING", 1000)
+    argv = ["--a1", "1", "--a2", "-1", "--d", "2"] if subcommand == "verify" else []
+    code, out, err = run_cli(capsys, subcommand, *argv, "--limit", "1000")
+    assert (code, err) == (0, "")
+    code, _, err = run_cli(capsys, subcommand, *argv, "--limit", "1001")
+    assert code == 2
+    assert "sieve limit 1001 exceeds the ceiling 1000" in err
+
+
+@pytest.mark.parametrize("d", [str(2**63), str(2**89 - 1)])
+def test_verify_divisor_past_int64(capsys, d):
+    code, out, err = run_cli(
+        capsys, "verify", "--a1", "1", "--a2", "-1", "--d", d, "--limit", "1000",
+        "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["counted"] == 0
+    assert doc["eligible"] == empirical_density(make_context(1, -1), 1, 1000).eligible
 
 
 def test_verify_fibonacci_small(capsys):

@@ -41,6 +41,7 @@ from lucasdensity.errors import (
 from lucasdensity.kummer import kummer_degree, sigma_exists
 from lucasdensity.quadfield import (
     QuadElem,
+    gamma_from_radicand,
     make_context,
     power_index,
     qf_conj,
@@ -320,6 +321,34 @@ def test_oracle_rejects_twisted_element_with_typed_error():
     assert dispatch(normal_form(row.gamma), row.d).delta == Fraction(5, 144) != row.delta
 
 
+@pytest.mark.parametrize("gamma, field, d", [
+    (QuadElem(-12, Fraction(-13, 14), Fraction(3, 28)), -3, 3),  # a reference row over -12
+    (QuadElem(32, Fraction(3), Fraction(1, 2)), 8, 2),  # 3 + sqrt(8)
+])
+def test_non_fundamental_disc_is_refused(gamma, field, d):
+    # over -12 this element dispatched to 3/8 (ODD_GENERIC) and over 32 to 257/384,
+    # against 3/4 (EISEN) and 17/24 over the field's own discriminant
+    message = (rf"disc_k = {gamma.disc_k} is not a fundamental discriminant"
+               rf" \(the field's is {field}\): build the element with gamma_from_radicand")
+    for call in (lambda: dispatch(gamma, d), lambda: series_oracle(gamma, d),
+                 lambda: normal_form(gamma)):
+        with pytest.raises(LucasDensityError, match=message) as info:
+            call()
+        assert type(info.value) is LucasDensityError
+    fixed = gamma_from_radicand(gamma.u, gamma.v, gamma.disc_k)
+    assert fixed.disc_k == field
+    assert dispatch(fixed, d).delta == {3: Fraction(3, 4), 2: Fraction(17, 24)}[d]
+
+
+def test_context_disc_is_not_checked_again(monkeypatch):
+    # make_context takes disc_k from disc_and_scale; dispatch must not factor it again
+    def refuse(q):
+        raise AssertionError(f"disc_and_scale({q}) called from the density layer")
+    monkeypatch.setattr("lucasdensity.density.disc_and_scale", refuse)
+    assert dispatch(make_context(1, -1), 2).delta == Fraction(2, 3)
+    assert dispatch(make_context(3, 7), 6).case_tag == CASE_Q1_IMAG
+
+
 def test_large_pair_finishes_quickly():
     # bounded only because is_nth_power rejects wrong p-adic candidates by
     # their norm before it re-powers them exactly
@@ -404,7 +433,7 @@ def test_series_euler_factor_primes_pinned():
 
 def test_oracle_mismatch_names_both_values(monkeypatch):
     gamma = normal_form(make_context(1, -1))
-    monkeypatch.setattr("lucasdensity.density.series_oracle", lambda target, d: F(1, 7))
+    monkeypatch.setattr("lucasdensity.density._series", lambda profile, d: F(1, 7))
     with pytest.raises(OracleMismatchError) as info:
         dispatch(gamma, 3)
     assert str(info.value) == ("closed form 3/8 differs from the series sum 1/7"

@@ -17,6 +17,7 @@ from lucasdensity.lucasrank import (
     _chain,
     _chi_and_trace,
     _residues,
+    dump_ranks,
     empirical_density,
     lucas_v_mod,
     rank,
@@ -244,10 +245,8 @@ def test_empirical_d1_counts_everything(spf_small):
 
 
 def test_empirical_fibonacci_two_thirds(spf_small):
-    rep = empirical_density(
-        make_context(1, -1), 2, 100_000, spf=spf_small, reference=Fraction(2, 3)
-    )
-    assert rep.deviation < Fraction(1, 100)
+    rep = empirical_density(make_context(1, -1), 2, 100_000, spf=spf_small)
+    assert abs(rep.ratio - Fraction(2, 3)) < Fraction(1, 100)
 
 
 def test_empirical_fibonacci_counts_pinned():
@@ -272,7 +271,7 @@ def test_empirical_report_invariants(spf_small):
     assert rep.counted == rep.counted_plus + rep.counted_minus
     assert 0 <= rep.counted <= rep.eligible
     assert rep.ratio == Fraction(rep.counted, rep.eligible)
-    assert rep.a1 == 2 and rep.a2 == -1 and rep.d == 4 and rep.x == 20_000
+    assert rep.d == 4 and rep.x == 20_000
 
 
 def test_empirical_direct_element_equivalence(spf_small):
@@ -305,8 +304,10 @@ def _differential_targets():
 def test_empirical_counter_matches_scalar_rank(spf_small):
     x = 50_000
     # prime powers up to 2^6 and 7^2, several primes at once, and 2^17 > x + 1,
-    # which no p - (D/p) reaches: every prime is eligible and none counts
-    divisors = (1, 2, 4, 6, 9, 12, 30, 111, 8, 16, 25, 27, 49, 60, 64, 385, 2**17)
+    # which no p - (D/p) reaches: every prime is eligible and none counts; so
+    # too for 2^63 and the prime 2^89 - 1, past int64
+    divisors = (1, 2, 4, 6, 9, 12, 30, 111, 8, 16, 25, 27, 49, 60, 64, 385, 2**17,
+                2**63, 2**89 - 1)
     on_a1 = 0
     for target in _differential_targets():
         is_pair = isinstance(target, SequenceContext)
@@ -356,9 +357,8 @@ def test_empirical_large_coefficients_finish_quickly():
 
 def test_empirical_csv_dump(tmp_path, spf_small):
     path = tmp_path / "ranks.csv"
-    rep = empirical_density(
-        make_context(1, -1), 2, 2000, spf=spf_small, dump_path=str(path)
-    )
+    rep = empirical_density(make_context(1, -1), 2, 2000, spf=spf_small)
+    dump_ranks(make_context(1, -1), 2, 2000, str(path))
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["p", "rank", "jacobi", "divisible"]
@@ -381,7 +381,25 @@ def test_empirical_rejects_capacity_overrun(spf_small):
 def test_report_rejects_inconsistent_counts():
     with pytest.raises(LucasDensityError, match="EmpiricalReport.counted=3"):
         EmpiricalReport(
-            a1=1, a2=-1, d=2, x=10, counted=3, counted_plus=1, counted_minus=1,
+            d=2, x=10, counted=3, counted_plus=1, counted_minus=1,
             eligible=5, ratio=Fraction(3, 5), ratio_plus=Fraction(1, 5),
             ratio_minus=Fraction(1, 5),
         )
+
+
+@pytest.mark.parametrize("d", [2.0, 2.5, True])
+def test_empirical_rejects_non_integer_divisor(tmp_path, spf_small, d):
+    with pytest.raises(LucasDensityError, match=f"d must be a positive integer, got {d!r}"):
+        empirical_density(make_context(1, -1), d, 1000, spf=spf_small)
+    with pytest.raises(LucasDensityError, match="d must be a positive integer"):
+        dump_ranks(make_context(1, -1), d, 1000, str(tmp_path / "ranks.csv"))
+
+
+def test_default_sieve_reaches_the_ceiling(monkeypatch, spf_small):
+    # counting to x needs a sieve to x, not x + 1: x at the ceiling is allowed
+    want = empirical_density(make_context(1, -1), 2, 1000, spf=spf_small)
+    monkeypatch.setattr("lucasdensity.lucasrank.SIEVE_CEILING", 1000)
+    assert empirical_density(make_context(1, -1), 2, 1000) == want
+    assert want.eligible == 166  # the 168 primes below 1000 but 2 and 5
+    with pytest.raises(LimitError, match="sieve limit 1001 exceeds the ceiling 1000"):
+        empirical_density(make_context(1, -1), 2, 1001)

@@ -49,7 +49,7 @@ from oracles import padic_support_exponents
 _OPTIMIZED_CHECK = """
 from fractions import Fraction
 from lucasdensity import (DensityResult, EmpiricalReport, LucasDensityError, QuadElem, STerm,
-                          dispatch, make_context, power_index)
+                          dispatch, empirical_density, make_context, power_index)
 from lucasdensity.density import kummer_profile
 from lucasdensity.kummer import (KummerProfile, _membership, cubic_conductor, quartic_conductor,
                                  sqrt_data)
@@ -63,8 +63,10 @@ calls.append(lambda: KummerProfile(fib, power_index(fib),
 calls.append(lambda: KummerProfile(gauss, power_index(gauss), sqrt_data(gauss), None))
 calls.append(lambda: _membership(5, 10, kummer_profile(QuadElem(5, Fraction(3, 2), Fraction(1, 2)))))
 calls.append(lambda: DensityResult(Fraction(2), Fraction(1), Fraction(1), "t", (), {}))
-calls.append(lambda: EmpiricalReport(1, -1, 2, 10, 3, 1, 1, 5, Fraction(3, 5),
+calls.append(lambda: EmpiricalReport(2, 10, 3, 1, 1, 5, Fraction(3, 5),
                                      Fraction(1, 5), Fraction(1, 5)))
+calls.append(lambda: empirical_density(make_context(1, -1), 2.5, 1000))
+calls.append(lambda: dispatch(QuadElem(-12, Fraction(-13, 14), Fraction(3, 28)), 3))
 calls.append(lambda: sqrt_data(QuadElem(5, 3, 1)))
 calls.append(lambda: cubic_conductor(QuadElem(-4, Fraction(-3, 5), Fraction(2, 5))))
 calls.append(lambda: quartic_conductor(QuadElem(-3, Fraction(-13, 14), Fraction(3, 14))))
@@ -89,8 +91,8 @@ def test_quad_elem_validation_survives_optimize_flag():
         "LucasDensityError square discriminant: 9",
         "LucasDensityError square discriminant: 4",
         "LucasDensityError power index needs a norm-1 element, got 2+0*sqrt(5)",
-        "LucasDensityError the unit (-6-1*sqrt(20))/4 is not +- a power of the"
-        " fundamental unit of disc 20; disc_k may not be fundamental",
+        "LucasDensityError disc_k = 20 is not a fundamental discriminant (the field's is 5):"
+        " build the element with gamma_from_radicand",
         "LucasDensityError STerm.nu must be a positive int, got 0",
         "LucasDensityError (-3-1*sqrt(5))/2 is not in normal form: pass normal_form(gamma),"
         " whose density can differ from the twisted element's",
@@ -100,6 +102,9 @@ def test_quad_elem_validation_survives_optimize_flag():
         "LucasDensityError DensityResult.delta=2 is outside [0, 1]",
         "LucasDensityError EmpiricalReport.counted=3 differs from counted_plus"
         " + counted_minus = 2",
+        "LucasDensityError d must be a positive integer, got 2.5",
+        "LucasDensityError disc_k = -12 is not a fundamental discriminant (the field's is -3):"
+        " build the element with gamma_from_radicand",
         "LucasDensityError sqrt_data needs a root of norm +-1, got 3+1*sqrt(5) of norm 4",
         "LucasDensityError cubic_conductor needs a norm-1 root over disc -3 off Q,"
         " got (-3+2*sqrt(-4))/5",
@@ -142,7 +147,7 @@ def test_power_index_rejects_bad_inputs_with_typed_errors():
         power_index(QuadElem(-4, F(0), F(1, 2)))  # i
     # the Fibonacci root quotient written over 20 instead of the fundamental 5
     with pytest.raises(LucasDensityError, match="may not be fundamental"):
-        dispatch(QuadElem(20, F(-3, 2), F(-1, 4)), 2)
+        power_index(QuadElem(20, F(-3, 2), F(-1, 4)))
 
 
 def test_quad_elem_ascii_form():
