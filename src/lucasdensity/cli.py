@@ -7,7 +7,7 @@ import json
 import sys
 import time
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .density import (
     DensityResult,
@@ -16,27 +16,13 @@ from .density import (
     normal_form,
     series_oracle,
 )
-from .errors import (
-    LucasDensityError,
-    OracleMismatchError,
-    TorsionError,
-    UnreachableCaseError,
-)
+from .errors import LucasDensityError, OracleMismatchError, UnreachableCaseError
 from .lucasrank import dump_ranks, empirical_density, spf_sieve
-from .quadfield import (
-    QuadElem,
-    SequenceContext,
-    gamma_from_radicand,
-    is_torsion,
-    make_context,
-    qf_norm,
-)
+from .quadfield import Target, gamma_from_radicand, make_context, root_quotient
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_INCONSISTENT = 3
-
-Target = Union[SequenceContext, QuadElem]
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +116,6 @@ def _add_input_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
-_THREADS_HELP = "deprecated and ignored: the empirical count is one vectorised pass"
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lucasdensity",
@@ -154,7 +137,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_input_flags(p_verify)
     p_verify.add_argument("--d", type=int, required=True)
     p_verify.add_argument("--limit", type=int, default=1_000_000)
-    p_verify.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
+    p_verify.add_argument("--threads", type=int, default=None,
+                          help="deprecated and ignored: the empirical count is one vectorised pass")
     p_verify.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_verify.add_argument("--strict", action="store_true")
     p_verify.add_argument("--dump-ranks", metavar="PATH", default=None)
@@ -164,7 +148,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tables.add_argument(
         "--limit", type=int, default=None, help="also run the empirical column up to this bound"
     )
-    p_tables.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
 
     p_explain = subs.add_parser("explain", help="show the routing and every term")
     _add_input_flags(p_explain)
@@ -191,16 +174,8 @@ def _resolve_target(args: argparse.Namespace) -> Target:
         v = Fraction(args.gamma[1].strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise LucasDensityError(f"unparsable --gamma component: {exc}") from exc
-    gamma = gamma_from_radicand(u, v, args.radicand)
-    if gamma.v == 0:
-        raise LucasDensityError("element is rational: no quadratic field to work in")
-    if qf_norm(gamma) != 1:
-        raise LucasDensityError(
-            f"element must have norm 1, got {qf_norm(gamma)}"
-        )
-    if is_torsion(gamma):
-        raise TorsionError("element is a root of unity: rank is not defined")
-    return gamma
+    # a rational element has norm u^2, or is the root of unity +-1
+    return root_quotient(gamma_from_radicand(u, v, args.radicand), "density")
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +229,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report = empirical_density(target, args.d, args.limit)
     runtime = time.perf_counter() - t0
     if args.dump_ranks is not None:
-        dump_ranks(target, args.d, args.limit, args.dump_ranks)
+        try:
+            dump_ranks(target, args.d, args.limit, args.dump_ranks)
+        except OSError as exc:
+            raise LucasDensityError(f"cannot write --dump-ranks {args.dump_ranks}: {exc}") from exc
     deviation = abs(report.ratio - delta)
     tolerance = (
         Fraction(3)

@@ -54,12 +54,12 @@ from .quadfield import (
     PowerIndexData,
     QuadElem,
     SequenceContext,
+    Target,
     disc_and_scale,
     power_index,
     qf_conj,
 )
 
-Target = Union[SequenceContext, QuadElem]
 Rat = Union[Fraction, int]
 
 CASE_Q0 = "Q0"
@@ -192,6 +192,7 @@ def _field_disc(disc: int) -> int:
 
 
 def _gamma_of(target: Target) -> QuadElem:
+    # norm and torsion: root_quotient refuses them in the cached _pix -> power_index
     if isinstance(target, SequenceContext):
         return target.gamma  # make_context took its disc_k from disc_and_scale
     if not isinstance(target, QuadElem):

@@ -4,6 +4,7 @@ The rank of appearance of a prime p in the recurrence U(a1, a2) is the least
 n >= 1 with p | U_n.  For p not dividing 2*a2*Delta it equals the
 multiplicative order of the norm-1 root quotient gamma modulo a prime above p,
 which is also the form used for elements given directly as u + v*sqrt(disc).
+quadfield.root_quotient refuses any other input before a prime is touched.
 Both inputs therefore reduce to one Lucas-V chain in t = tr(gamma) mod p:
 V_n(t) = gamma^n + gamma^-n, and gamma^n = 1 exactly when V_n(t) = 2.  The
 order divides m = p - chi(p), with chi(p) the Legendre symbol (D/p) of the
@@ -41,16 +42,14 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Union
 
 from .arith import factorize, is_probable_prime, jacobi, prime_factors, validate_positive
-from .errors import LimitError, LucasDensityError, TorsionError
-from .quadfield import QuadElem, SequenceContext, is_torsion, qf_norm, qf_trace
+from .errors import LimitError, LucasDensityError
+from .quadfield import SequenceContext, Target, qf_trace, root_quotient
 
 if TYPE_CHECKING:
     import numpy as np
 
 # numpy is imported inside the functions that count, so that the exact layer
 # (dispatch and the CLI's exact subcommands) runs without loading it.
-
-Target = Union[SequenceContext, QuadElem]
 
 # A sieve past this ceiling is almost certainly a mistyped limit rather than a
 # real request.  It also keeps every prime below 2^28, so int64 never overflows
@@ -84,6 +83,7 @@ class SpfTable:
 def spf_sieve(limit: int) -> SpfTable:
     """Sieve of Eratosthenes over the odd numbers: every prime in 2..limit."""
     import numpy as np
+    validate_positive(limit=limit)
     if limit < 2:
         raise LimitError(f"sieve limit must be at least 2, got {limit}")
     if limit > SIEVE_CEILING:
@@ -190,16 +190,12 @@ class _Chain:
 
 
 def _chain(target: Target) -> _Chain:
+    gamma = root_quotient(target, "rank")
     if isinstance(target, SequenceContext):
-        gamma, char_disc = target.gamma, target.delta
-        locus = 2 * target.a2 * target.delta
+        char_disc, locus = target.delta, 2 * target.a2 * target.delta
     else:
-        gamma, char_disc = target, target.disc_k
-        if qf_norm(gamma) != 1:
-            raise LucasDensityError("rank is defined for norm-1 elements only")
+        char_disc = gamma.disc_k
         locus = 2 * gamma.disc_k * gamma.u.denominator * gamma.v.denominator * gamma.v.numerator
-    if is_torsion(gamma):
-        raise TorsionError(f"rank is undefined for the root of unity {gamma}")
     return _Chain(trace=qf_trace(gamma), char_disc=char_disc, locus=locus)
 
 
@@ -214,6 +210,7 @@ def _order(p: int, m: int, trace: Fraction) -> int:
 
 def rank(p: int, target: Target) -> int:
     """Least n >= 1 with p | U_n, equivalently the order of gamma above p."""
+    validate_positive(p=p)
     if p < 3 or not is_probable_prime(p):
         raise LucasDensityError(f"rank needs an odd prime, got {p}")
     chain = _chain(target)
@@ -280,11 +277,11 @@ def empirical_density(
     target: Target, d: int, x: int, spf: Optional[SpfTable] = None
 ) -> EmpiricalReport:
     """Count primes p <= x with d | rank(p), split by the character of p."""
-    validate_positive(d=d)
+    validate_positive(d=d, x=x)
+    chain = _chain(target)
     if spf is None:
         spf = spf_sieve(max(x, 2))
     primes = spf.primes_up_to(x)  # LimitError for any x past the sieve
-    chain = _chain(target)
     powers = [(q, q**k) for q, k in factorize(d)]
     reachable = all(qk <= x + 1 for _, qk in powers)
     trace = chain.trace
@@ -316,7 +313,7 @@ def dump_ranks(target: Target, d: int, x: int, path: str) -> None:
     The rows come from the scalar Legendre symbol and the order descent that
     rank() uses, so the ``divisible`` column sums to empirical_density's count.
     """
-    validate_positive(d=d)
+    validate_positive(d=d, x=x)
     chain = _chain(target)
     primes = spf_sieve(max(x, 2)).primes_up_to(x).tolist()
     with open(path, "w", newline="") as fh:

@@ -5,7 +5,8 @@ of the field arithmetic this module builds the three nontrivial computations
 everything else depends on: exact n-th-power testing (p-adic candidates from
 Hensel lifting and rational reconstruction, exact certificates), fundamental
 units by continued fractions, and the power index of a norm-one element under
-all torsion twists.
+all torsion twists.  root_quotient is the one check of what a target is, for
+the power index, the counter and the CLI.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Union
 
 from .arith import divisors, factorize, is_probable_prime, jacobi, prime_factors, squarefree_kernel
 from .errors import (
@@ -147,6 +148,9 @@ class SequenceContext:
     gamma: QuadElem
 
 
+# what the density and rank layers accept: a recurrence or its root quotient
+Target = Union[SequenceContext, QuadElem]
+
 _HALF = Fraction(1, 2)
 
 # (u, v) of the consecutive powers of the generator: i for D = -4, the
@@ -171,6 +175,28 @@ def is_torsion(x: QuadElem) -> bool:
     """
     trace = 2 * x.u
     return trace.denominator == 1 and abs(trace) <= 2 and qf_norm(x) == 1
+
+
+def root_quotient(target: Target, layer: str) -> QuadElem:
+    """The norm-1 element a context or element stands for: the one check of a target.
+
+    Refuses a non-target, a norm other than 1 and a root of unity (TorsionError),
+    naming the input and the calling ``layer``.  disc_k is not tested.
+
+    >>> root_quotient(QuadElem(5, 2, 0), "rank")
+    Traceback (most recent call last):
+    ...
+    lucasdensity.errors.LucasDensityError: rank needs a norm-1 element, got 2+0*sqrt(5) of norm 4
+    """
+    gamma = target.gamma if isinstance(target, SequenceContext) else target
+    if not isinstance(gamma, QuadElem):
+        raise LucasDensityError(
+            f"{layer} needs a sequence context or field element, got {target!r}")
+    if (norm := qf_norm(gamma)) != 1:
+        raise LucasDensityError(f"{layer} needs a norm-1 element, got {gamma} of norm {norm}")
+    if is_torsion(gamma):
+        raise TorsionError(f"{layer} is undefined for the root of unity {gamma}")
+    return gamma
 
 
 def make_context(a1: int, a2: int) -> SequenceContext:
@@ -497,11 +523,8 @@ def power_index(gamma: QuadElem) -> PowerIndexData:
     gamma.disc_k must be fundamental (see disc_and_scale): over another
     discriminant the index can be silently wrong.
     """
+    gamma = root_quotient(gamma, "power index")
     disc = gamma.disc_k
-    if qf_norm(gamma) != 1:
-        raise LucasDensityError(f"power index needs a norm-1 element, got {gamma}")
-    if is_torsion(gamma):
-        raise TorsionError(f"power index is undefined for the root of unity {gamma}")
     exps = [e for _, e in _support_exponents(gamma)]
     if exps:
         cap = math.gcd(*exps)

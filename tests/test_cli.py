@@ -62,7 +62,7 @@ def test_density_norm_validation(capsys):
         capsys, "density", "--gamma", "1", "1", "--radicand", "8", "--d", "2"
     )
     assert code == 2
-    assert "norm 1" in err
+    assert "norm-1" in err
 
 
 def test_density_rational_gamma_rejected(capsys):
@@ -348,6 +348,32 @@ def test_verify_dump_ranks_pinned(tmp_path, capsys, argv, digest):
     )
     assert code == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (("density", "--gamma", "1", "0", "--radicand", "5", "--d", "2"), "root of unity 1+0*sqrt(5)"),
+    (("density", "--gamma", "1", "1", "--radicand", "8", "--d", "2"), "1+1*sqrt(8) of norm -7"),
+    (("explain", "--gamma", "1", "1", "--radicand", "8", "--d", "1"), "1+1*sqrt(8) of norm -7"),
+    (("density", "--a1", "1", "--a2", "1", "--d", "2"), "root of unity"),
+    (("density", "--gamma", "1/0", "1", "--radicand", "5", "--d", "2"), "unparsable --gamma"),
+    (("verify", "--a1", "1", "--a2", "-1", "--d", "2", "--limit", "50"), "--limit must be >= 100"),
+    (("density", "--a1", "1", "--a2", "-1", "--d", "0"), "d must be a positive integer, got 0"),
+    (("verify", "--a1", "1", "--a2", "-1", "--d", "2", "--limit", "1000",
+      "--dump-ranks", "{missing}"), "cannot write --dump-ranks {missing}: "),
+])
+def test_malformed_input_never_shows_a_traceback(tmp_path, capsys, argv, reason):
+    missing = tmp_path / "missing" / "ranks.csv"
+    code, _, err = run_cli(capsys, *[a.format(missing=missing) for a in argv])
+    assert code == 2
+    assert err.startswith("invalid input:")
+    assert reason.format(missing=missing) in err
+    assert "Traceback" not in err
+
+
+def test_tables_has_no_threads_option(capsys):
+    code, _, err = run_cli(capsys, "tables", "--threads", "1")
+    assert code == 2
+    assert "unrecognized arguments: --threads 1" in err
 
 
 def test_verify_strict_on_passing_run(capsys):

@@ -395,6 +395,20 @@ def test_empirical_rejects_non_integer_divisor(tmp_path, spf_small, d):
         dump_ranks(make_context(1, -1), d, 1000, str(tmp_path / "ranks.csv"))
 
 
+@pytest.mark.parametrize("value", [1e4, "100", 0, -5, True])
+def test_empirical_layer_refuses_non_integer_sizes(tmp_path, value):
+    fib = make_context(1, -1)
+    for name, call in [
+        ("x", lambda: empirical_density(fib, 2, value)),
+        ("x", lambda: dump_ranks(fib, 2, value, str(tmp_path / "ranks.csv"))),
+        ("p", lambda: rank(value, fib)),
+        ("limit", lambda: spf_sieve(value)),
+    ]:
+        with pytest.raises(LucasDensityError) as info:
+            call()
+        assert str(info.value) == f"{name} must be a positive integer, got {value!r}"
+
+
 def test_default_sieve_reaches_the_ceiling(monkeypatch, spf_small):
     # counting to x needs a sieve to x, not x + 1: x at the ceiling is allowed
     want = empirical_density(make_context(1, -1), 2, 1000, spf=spf_small)

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lucasdensity.density import REFERENCE_PROFILES, dispatch
+from lucasdensity.density import (REFERENCE_PROFILES, dispatch, kummer_profile, normal_form,
+                                  series_oracle)
 from lucasdensity.errors import (
     DiscMismatchError,
     DivisionByZeroError,
@@ -35,8 +36,10 @@ from lucasdensity.quadfield import (
     qf_norm,
     qf_one,
     qf_pow,
+    root_quotient,
     torsion_units,
 )
+from lucasdensity.lucasrank import dump_ranks, empirical_density, rank
 
 from oracles import padic_support_exponents
 
@@ -49,7 +52,7 @@ from oracles import padic_support_exponents
 _OPTIMIZED_CHECK = """
 from fractions import Fraction
 from lucasdensity import (DensityResult, EmpiricalReport, LucasDensityError, QuadElem, STerm,
-                          dispatch, empirical_density, make_context, power_index)
+                          dispatch, empirical_density, make_context, power_index, rank)
 from lucasdensity.density import kummer_profile
 from lucasdensity.kummer import (KummerProfile, _membership, cubic_conductor, quartic_conductor,
                                  sqrt_data)
@@ -70,6 +73,9 @@ calls.append(lambda: dispatch(QuadElem(-12, Fraction(-13, 14), Fraction(3, 28)),
 calls.append(lambda: sqrt_data(QuadElem(5, 3, 1)))
 calls.append(lambda: cubic_conductor(QuadElem(-4, Fraction(-3, 5), Fraction(2, 5))))
 calls.append(lambda: quartic_conductor(QuadElem(-3, Fraction(-13, 14), Fraction(3, 14))))
+calls.append(lambda: rank(7, 5))
+calls.append(lambda: empirical_density(fib, 2, 1e4))
+calls.append(lambda: power_index(5))
 for call in calls:
     try:
         call()
@@ -90,7 +96,7 @@ def test_quad_elem_validation_survives_optimize_flag():
         "LucasDensityError not a discriminant: 0",
         "LucasDensityError square discriminant: 9",
         "LucasDensityError square discriminant: 4",
-        "LucasDensityError power index needs a norm-1 element, got 2+0*sqrt(5)",
+        "LucasDensityError power index needs a norm-1 element, got 2+0*sqrt(5) of norm 4",
         "LucasDensityError disc_k = 20 is not a fundamental discriminant (the field's is 5):"
         " build the element with gamma_from_radicand",
         "LucasDensityError STerm.nu must be a positive int, got 0",
@@ -110,6 +116,9 @@ def test_quad_elem_validation_survives_optimize_flag():
         " got (-3+2*sqrt(-4))/5",
         "LucasDensityError quartic_conductor needs a norm-1 root over disc -4 off Q,"
         " got (-13+3*sqrt(-3))/14",
+        "LucasDensityError rank needs a sequence context or field element, got 5",
+        "LucasDensityError x must be a positive integer, got 10000.0",
+        "LucasDensityError power index needs a sequence context or field element, got 5",
     ]
 
 
@@ -148,6 +157,46 @@ def test_power_index_rejects_bad_inputs_with_typed_errors():
     # the Fibonacci root quotient written over 20 instead of the fundamental 5
     with pytest.raises(LucasDensityError, match="may not be fundamental"):
         power_index(QuadElem(20, F(-3, 2), F(-1, 4)))
+
+
+_NON_TARGETS = [5, "x", QuadElem(5, 2, 0), QuadElem(5, 3, 1), QuadElem(-4, 0, F(1, 2))]
+
+
+@pytest.mark.parametrize("target", _NON_TARGETS, ids=str)
+@pytest.mark.parametrize("call", [
+    lambda t, path: dispatch(t, 2),
+    lambda t, path: series_oracle(t, 2),
+    lambda t, path: normal_form(t),
+    lambda t, path: kummer_profile(t),
+    lambda t, path: power_index(t),
+    lambda t, path: rank(7, t),
+    lambda t, path: empirical_density(t, 2, 1000),
+    lambda t, path: dump_ranks(t, 2, 1000, path),
+], ids=["dispatch", "series_oracle", "normal_form", "kummer_profile", "power_index", "rank",
+        "empirical_density", "dump_ranks"])
+def test_public_calls_refuse_a_non_target_by_name(tmp_path, call, target):
+    # a non-element once raised AttributeError on .disc_k; every layer now
+    # refuses through root_quotient (or density's own isinstance test)
+    expected = TorsionError if target == QuadElem(-4, 0, F(1, 2)) else LucasDensityError
+    with pytest.raises(expected) as info:
+        call(target, str(tmp_path / "ranks.csv"))
+    assert str(target) in str(info.value) or repr(target) in str(info.value)
+    assert not (tmp_path / "ranks.csv").exists()
+
+
+def test_root_quotient_is_the_one_target_check():
+    fib = make_context(1, -1)
+    assert root_quotient(fib, "rank") == fib.gamma
+    assert root_quotient(fib.gamma, "rank") is fib.gamma
+    with pytest.raises(LucasDensityError, match=r"^rank needs a sequence context or field"
+                       r" element, got 'x'$"):
+        root_quotient("x", "rank")
+    with pytest.raises(LucasDensityError, match=r"^power index needs a norm-1 element,"
+                       r" got 3\+1\*sqrt\(5\) of norm 4$"):
+        root_quotient(QuadElem(5, 3, 1), "power index")
+    with pytest.raises(TorsionError, match=r"^rank is undefined for the root of unity"
+                       r" \(0\+1\*sqrt\(-4\)\)/2$"):
+        root_quotient(QuadElem(-4, 0, F(1, 2)), "rank")
 
 
 def test_quad_elem_ascii_form():
