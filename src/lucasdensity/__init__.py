@@ -11,7 +11,6 @@ from .density import (
     series_oracle,
 )
 from .errors import (
-    DegenerateError,
     DiscMismatchError,
     DivisionByZeroError,
     HypothesisError,
@@ -25,7 +24,6 @@ from .errors import (
 )
 from .lucasrank import (
     EmpiricalReport,
-    SpfTable,
     dump_ranks,
     empirical_density,
     rank,
@@ -42,7 +40,6 @@ from .quadfield import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DegenerateError",
     "DensityResult",
     "DiscMismatchError",
     "DivisionByZeroError",
@@ -57,7 +54,6 @@ __all__ = [
     "ReducibleError",
     "STerm",
     "SequenceContext",
-    "SpfTable",
     "TorsionError",
     "UnreachableCaseError",
     "ZeroParameterError",

@@ -171,6 +171,13 @@ def validate_positive(**kwargs: int) -> None:
             raise LucasDensityError(f"{name} must be a positive integer, got {val!r}")
 
 
+def validate_int(**kwargs: int) -> None:
+    """Raise LucasDensityError naming the first argument that is not an int (bool refused)."""
+    for name, val in kwargs.items():
+        if not isinstance(val, int) or isinstance(val, bool):
+            raise LucasDensityError(f"{name} must be an integer, got {val!r}")
+
+
 def divisors(n: int) -> list[int]:
     """Sorted positive divisors of |n|."""
     divs = [1]

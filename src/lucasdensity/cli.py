@@ -17,7 +17,7 @@ from .density import (
     series_oracle,
 )
 from .errors import LucasDensityError, OracleMismatchError, UnreachableCaseError
-from .lucasrank import dump_ranks, empirical_density, spf_sieve
+from .lucasrank import dump_ranks, empirical_density
 from .quadfield import Target, gamma_from_radicand, make_context, root_quotient
 
 EXIT_OK = 0
@@ -286,7 +286,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_tables(args: argparse.Namespace) -> int:
     if args.limit:
         _check_limit(args.limit)
-    spf = spf_sieve(args.limit) if args.limit else None
     entries = []
     mismatches = 0
     for row in REFERENCE_ROWS:
@@ -303,8 +302,8 @@ def cmd_tables(args: argparse.Namespace) -> int:
         }
         if row.annotation:
             entry["annotation"] = row.annotation
-        if spf is not None:
-            ratio = empirical_density(row.gamma, row.d, args.limit, spf=spf).ratio
+        if args.limit:
+            ratio = empirical_density(row.gamma, row.d, args.limit).ratio
             entry["empirical"] = float(ratio)
             entry["deviation"] = float(abs(ratio - row.delta))
         entries.append(entry)

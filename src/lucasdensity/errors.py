@@ -25,10 +25,6 @@ class DivisionByZeroError(LucasDensityError):
     """Inversion of the zero element."""
 
 
-class DegenerateError(LucasDensityError):
-    """Internal impossibility, e.g. c = 0 in the square-root data of a nontorsion element."""
-
-
 class HypothesisError(LucasDensityError):
     """S-sum evaluated outside the closed form's hypothesis (h, nu^inf) | nu."""
 

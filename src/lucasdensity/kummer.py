@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .arith import divisors, euler_phi, factorize, gcd_power_infinity
-from .errors import DegenerateError, LucasDensityError, ReducibleError
+from .errors import LucasDensityError, ReducibleError
 from .quadfield import PowerIndexData, QuadElem, _support_exponents, disc_and_scale, qf_norm
 
 # ---------------------------------------------------------------------------
@@ -48,13 +48,12 @@ class SqrtData:
 def sqrt_data(root: QuadElem) -> SqrtData:
     """Square-root data of the normalised h2-th root of gamma-tilde."""
     norm = qf_norm(root)
-    if norm not in (1, -1):
-        raise LucasDensityError(f"sqrt_data needs a root of norm +-1, got {root} of norm {norm}")
+    if norm not in (1, -1) or root.v == 0:  # v = 0 leaves the torsion +-1, and c = 0 at 1
+        raise LucasDensityError(
+            f"sqrt_data needs a root of norm +-1 off Q, got {root} of norm {norm}")
     if norm == -1:
         return SqrtData(q_flag=False)
     c = (root.u - 1) / 2
-    if c == 0:
-        raise DegenerateError("c = 0 can only come from a torsion element")
     return SqrtData(
         q_flag=True,
         c=c,
@@ -511,8 +510,7 @@ def sigma_exists(dv: int, uv: int, profile: KummerProfile) -> bool:
     # depth v2(h), and an odd factor in h must not enter the 2-adic test.
     h2 = gcd_power_infinity(profile.h, 2)
     sq = profile.sqrt
-    in_square = sq.q_flag and (dv % abs(sq.delta1) == 0 or dv % abs(sq.delta2) == 0)
-    if uv % (2 * h2) or not in_square:
+    if uv % (2 * h2) or not _membership(2, dv, profile):
         return dv % disc_k != 0 and (uv % h2 != 0 or sq.q_flag)
     return dv % disc_k != 0 and (
         (not sq.c_positive and dv % abs(sq.delta1) == 0)

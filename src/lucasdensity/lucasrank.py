@@ -12,8 +12,10 @@ discriminant D, so d | rank(p) is decided without factoring m: for each
 q^k || d, q^k must divide m and gamma^m' must differ from 1, where m' is m with
 its q-part cut down to q^(k-1).
 
-The counter needs only the primes, from a sieve of Eratosthenes over the odd
-numbers, and works on a chunk of them at a time in numpy int64.  The primes of
+The counter needs only the primes.  They come from spf_sieve, the package's one
+source of primes: a sieve of Eratosthenes over the odd numbers that keeps its
+last sieve, so counts at one x share it.  The counter works on a chunk of them
+at a time in numpy int64.  The primes of
 the excluded locus (2*a2*Delta, or 2*D times the element's denominators and the
 numerator of its v) drop out by one residue test per chunk, with no factoring;
 the rest are eligible.  As m is p - 1 or p + 1, a prime can count only if
@@ -30,16 +32,18 @@ since no p <= x has q^k | p +- 1, and its q^k may not fit in int64.
 
 rank() and dump_ranks() run the full order descent on the scalar chain, over
 the primes of m from arith.factorize, so they reach any prime.  The dump is a
-separate pass over the same eligible primes and takes no part in the count.
+separate pass over the same eligible primes, from the same kept sieve, and
+takes no part in the count.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Union
 
 from .arith import factorize, is_probable_prime, jacobi, prime_factors, validate_positive
 from .errors import LimitError, LucasDensityError
@@ -66,36 +70,33 @@ CHUNK = 1 << 14
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpfTable:
-    """The primes in 2..limit, ascending, as a read-only int64 array."""
+def spf_sieve(limit: int) -> np.ndarray:
+    """Every prime in 2..limit, ascending, as a read-only int64 array.
 
-    limit: int
-    primes: np.ndarray
-
-    def primes_up_to(self, x: int) -> np.ndarray:
-        """All primes <= x as a read-only int64 array."""
-        if x > self.limit:
-            raise LimitError(f"{x} exceeds the sieved limit {self.limit}")
-        return self.primes[: self.primes.searchsorted(x, side="right")]
-
-
-def spf_sieve(limit: int) -> SpfTable:
-    """Sieve of Eratosthenes over the odd numbers: every prime in 2..limit."""
-    import numpy as np
+    The last sieve is kept, so calls at one limit share it.
+    """
     validate_positive(limit=limit)
     if limit < 2:
         raise LimitError(f"sieve limit must be at least 2, got {limit}")
     if limit > SIEVE_CEILING:
         raise LimitError(f"sieve limit {limit} exceeds the ceiling {SIEVE_CEILING}")
+    return _sieve(limit)
+
+
+# The checks above stay outside the cache: 1000.0 == 1000 and hashes alike, and
+# a lowered SIEVE_CEILING must refuse a limit sieved before.
+@functools.lru_cache(maxsize=1)
+def _sieve(limit: int) -> np.ndarray:
+    """Sieve of Eratosthenes over the odd numbers."""
+    import numpy as np
     odd = np.ones((limit + 1) // 2, dtype=bool)  # odd[i] stands for 2*i + 1
     odd[0] = False
     for p in range(3, math.isqrt(limit) + 1, 2):
         if odd[p // 2]:
             odd[p * p // 2 :: p] = False
     primes = np.concatenate(([2], 2 * np.flatnonzero(odd) + 1)).astype(np.int64, copy=False)
-    primes.flags.writeable = False  # primes_up_to hands out views of it
-    return SpfTable(limit=limit, primes=primes)
+    primes.flags.writeable = False  # every caller shares it
+    return primes
 
 
 # ---------------------------------------------------------------------------
@@ -273,15 +274,11 @@ def _divisible(
     return hit
 
 
-def empirical_density(
-    target: Target, d: int, x: int, spf: Optional[SpfTable] = None
-) -> EmpiricalReport:
+def empirical_density(target: Target, d: int, x: int) -> EmpiricalReport:
     """Count primes p <= x with d | rank(p), split by the character of p."""
     validate_positive(d=d, x=x)
     chain = _chain(target)
-    if spf is None:
-        spf = spf_sieve(max(x, 2))
-    primes = spf.primes_up_to(x)  # LimitError for any x past the sieve
+    primes = spf_sieve(max(x, 2))  # at x = 1 the one prime, 2, divides the locus
     powers = [(q, q**k) for q, k in factorize(d)]
     reachable = all(qk <= x + 1 for _, qk in powers)
     trace = chain.trace
@@ -315,7 +312,7 @@ def dump_ranks(target: Target, d: int, x: int, path: str) -> None:
     """
     validate_positive(d=d, x=x)
     chain = _chain(target)
-    primes = spf_sieve(max(x, 2)).primes_up_to(x).tolist()
+    primes = spf_sieve(max(x, 2)).tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["p", "rank", "jacobi", "divisible"])

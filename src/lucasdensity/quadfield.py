@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .arith import divisors, factorize, is_probable_prime, jacobi, prime_factors, squarefree_kernel
+from .arith import (divisors, factorize, is_probable_prime, jacobi, prime_factors,
+                    squarefree_kernel, validate_int)
 from .errors import (
     DiscMismatchError,
     DivisionByZeroError,
@@ -126,6 +127,7 @@ def disc_and_scale(q: Fraction | int) -> tuple[int, Fraction]:
 
 def gamma_from_radicand(u: Fraction, v: Fraction, radicand: int) -> QuadElem:
     """Rewrite u + v*sqrt(radicand) over the fundamental discriminant."""
+    validate_int(radicand=radicand)
     if radicand == 0 or math.isqrt(abs(radicand)) ** 2 == radicand:
         raise ReducibleError(f"radicand {radicand} is a perfect square: no quadratic field")
     disc, scale = disc_and_scale(radicand)
@@ -201,6 +203,7 @@ def root_quotient(target: Target, layer: str) -> QuadElem:
 
 def make_context(a1: int, a2: int) -> SequenceContext:
     """Build the context for the recurrence with parameters (a1, a2)."""
+    validate_int(a1=a1, a2=a2)
     if a1 == 0 or a2 == 0:
         raise ZeroParameterError(f"parameters must be nonzero, got ({a1}, {a2})")
     delta = a1 * a1 - 4 * a2

@@ -42,11 +42,6 @@ def _report(number: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {number}: {detail}"
 
 
-@pytest.fixture(scope="module")
-def spf_million():
-    return spf_sieve(1_000_001)
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -181,13 +176,13 @@ PINNED_COUNTS_AT_ONE_MILLION = (
 )
 
 
-def test_criterion_6_empirical_gate_at_one_million(spf_million):
+def test_criterion_6_empirical_gate_at_one_million():
     t0 = time.monotonic()
     bad = []
     worst_margin = 0.0
     for row, pinned in zip(REFERENCE_ROWS, PINNED_COUNTS_AT_ONE_MILLION):
         delta = row.delta
-        report = empirical_density(row.gamma, row.d, 1_000_000, spf=spf_million)
+        report = empirical_density(row.gamma, row.d, 1_000_000)
         counts = (report.counted, report.counted_plus, report.counted_minus,
                   report.eligible)
         if counts != pinned:
@@ -223,10 +218,9 @@ MEASURED_REFERENCE_RATIOS = (
     reason="deep 10^7 sweep: set LUCASDENSITY_RUN_10M=1 to enable",
 )
 def test_criterion_6_optional_ten_million_sweep():
-    spf = spf_sieve(10_000_001)
     bad = []
     for row, expected in zip(REFERENCE_ROWS, MEASURED_REFERENCE_RATIOS):
-        report = empirical_density(row.gamma, row.d, 10_000_000, spf=spf)
+        report = empirical_density(row.gamma, row.d, 10_000_000)
         gap = abs(float(report.ratio) - expected)
         print(f"  x=10^7 {row.gamma} d={row.d}: ratio {float(report.ratio):.6f} "
               f"vs recorded {expected:.6f} (gap {gap:.2e})")
@@ -286,19 +280,19 @@ def test_criterion_7_structural_properties():
     )
 
 
-def test_criterion_8_rank_correctness(spf_million):
+def test_criterion_8_rank_correctness():
     pairs = ((1, -1), (2, -1), (1, 3), (5, 3))
     problems = []
     for a1, a2 in pairs:
         ctx = make_context(a1, a2)
         excluded = 2 * abs(a2) * abs(ctx.delta)
-        small = [int(p) for p in spf_million.primes_up_to(1000) if excluded % p]
+        small = [int(p) for p in spf_sieve(1000) if excluded % p]
         for p in small:
             got = rank(p, ctx)
             naive = naive_rank(p, a1, a2)
             if got != naive:
                 problems.append(("naive", (a1, a2), p, got, naive))
-        for p in spf_million.primes_up_to(100_000):
+        for p in spf_sieve(100_000):
             p = int(p)
             if excluded % p == 0:
                 continue

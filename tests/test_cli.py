@@ -10,6 +10,7 @@ import pytest
 
 from lucasdensity import REFERENCE_ROWS, empirical_density, make_context
 from lucasdensity.cli import main
+from lucasdensity.lucasrank import _sieve
 
 
 def run_cli(capsys, *argv):
@@ -329,6 +330,18 @@ def test_verify_dump_ranks(tmp_path, capsys):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "p,rank,jacobi,divisible"
     assert len(lines) > 100
+
+
+@pytest.mark.parametrize("argv", [
+    ("tables", "--limit", "2500"),
+    ("verify", "--a1", "1", "--a2", "-1", "--d", "2", "--limit", "2500", "--dump-ranks", "{path}"),
+])
+def test_one_sieve_per_command(tmp_path, capsys, argv):
+    # the 18 rows of tables, and verify's count and dump, share the kept sieve
+    _sieve.cache_clear()
+    code, _, _ = run_cli(capsys, *(arg.format(path=tmp_path / "dump.csv") for arg in argv))
+    assert code == 0
+    assert _sieve.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("argv, digest", [

@@ -9,7 +9,7 @@ import pytest
 
 from lucasdensity.arith import divisors, euler_phi, factorize
 from lucasdensity.density import CASE_GAUSS, dispatch, kummer_profile
-from lucasdensity.errors import DegenerateError, LucasDensityError, ReducibleError
+from lucasdensity.errors import LucasDensityError, ReducibleError
 from lucasdensity.kummer import (
     _has_rational_root,
     _splits_into_quadratics,
@@ -113,7 +113,8 @@ def test_sqrt_data_norm_one_rows():
 
 
 def test_sqrt_data_degenerate():
-    with pytest.raises(DegenerateError):
+    with pytest.raises(LucasDensityError,
+                       match=r"sqrt_data needs a root of norm \+-1 off Q, got 1\+0\*sqrt\(8\)"):
         sqrt_data(QuadElem(8, 1, 0))
 
 

@@ -17,6 +17,7 @@ from lucasdensity.lucasrank import (
     _chain,
     _chi_and_trace,
     _residues,
+    _sieve,
     dump_ranks,
     empirical_density,
     lucas_v_mod,
@@ -26,11 +27,6 @@ from lucasdensity.lucasrank import (
 from lucasdensity.quadfield import QuadElem, SequenceContext, make_context, qf_norm
 
 from oracles import naive_rank
-
-
-@pytest.fixture(scope="module")
-def spf_small():
-    return spf_sieve(120_000)
 
 
 # ---------------------------------------------------------------------------
@@ -43,15 +39,14 @@ def _naive_primes(limit):
 
 
 def test_spf_first_values():
-    table = spf_sieve(10)
-    assert table.limit == 10
-    assert table.primes.tolist() == [2, 3, 5, 7]
-    assert table.primes.dtype == np.int64
-    assert not table.primes.flags.writeable
+    primes = spf_sieve(10)
+    assert primes.tolist() == [2, 3, 5, 7]
+    assert primes.dtype == np.int64
+    assert not primes.flags.writeable
 
 
 def test_spf_large_prime_and_even():
-    primes = spf_sieve(10_000_000).primes
+    primes = spf_sieve(10_000_000)
     assert primes[np.searchsorted(primes, 9_999_991)] == 9_999_991
     assert primes[np.searchsorted(primes, 10**6)] != 10**6
     assert len(primes) == 664_579
@@ -66,27 +61,55 @@ def test_spf_rejects_bad_limits():
 
 @pytest.mark.parametrize("limit", [2, 3, 4, 8, 9, 24, 25, 26, 120, 121, 122, 5000])
 def test_spf_matches_naive_table(limit):
-    assert spf_sieve(limit).primes.tolist() == _naive_primes(limit)
+    assert spf_sieve(limit).tolist() == _naive_primes(limit)
 
 
-def test_primes_up_to(spf_small):
-    primes = spf_small.primes_up_to(100)
+def test_primes_up_to():
+    primes = spf_sieve(100)
     assert primes.tolist() == [
         2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
         53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
     ]
-    assert len(spf_small.primes_up_to(100_000)) == 9592
+    assert len(spf_sieve(100_000)) == 9592
 
 
-def test_primes_up_to_matches_full_scan(spf_small):
-    limit = spf_small.limit
+def test_primes_up_to_matches_full_scan():
+    limit = 120_000
     naive = _naive_primes(limit)
     for x in (2, 3, limit, 99_991, 99_990):  # 99_991 is prime
-        got = spf_small.primes_up_to(x)
+        got = spf_sieve(x)
         assert got.dtype == np.int64
         assert got.tolist() == [q for q in naive if q <= x], f"x = {x}"
-    with pytest.raises(LimitError):
-        spf_small.primes_up_to(limit + 1)
+
+
+def test_sieve_is_kept_and_read_only():
+    primes = spf_sieve(1000)
+    assert spf_sieve(1000) is primes
+    assert not primes.flags.writeable
+    with pytest.raises(ValueError):
+        primes[0] = 3
+
+
+def test_kept_sieve_still_checks_the_ceiling(monkeypatch):
+    assert spf_sieve(1001)[-1] == 997
+    monkeypatch.setattr("lucasdensity.lucasrank.SIEVE_CEILING", 1000)
+    with pytest.raises(LimitError, match="sieve limit 1001 exceeds the ceiling 1000"):
+        spf_sieve(1001)
+
+
+def test_kept_sieve_still_checks_the_limit_type():
+    assert len(spf_sieve(1000)) == 168
+    with pytest.raises(LucasDensityError, match=r"limit must be a positive integer, got 1000\.0"):
+        spf_sieve(1000.0)
+
+
+def test_count_and_dump_share_one_sieve(tmp_path):
+    fib = make_context(1, -1)
+    _sieve.cache_clear()
+    empirical_density(fib, 2, 3000)
+    dump_ranks(fib, 2, 3000, str(tmp_path / "ranks.csv"))
+    info = _sieve.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -155,11 +178,11 @@ def test_rank_rejects_composite_modulus():
             rank(n, fib)
 
 
-def test_rank_matches_naive_for_four_sequences(spf_small):
+def test_rank_matches_naive_for_four_sequences():
     pairs = [(1, -1), (2, -1), (1, 3), (5, 3)]
     for a1, a2 in pairs:
         ctx = make_context(a1, a2)
-        for p in spf_small.primes_up_to(1000)[1:]:
+        for p in spf_sieve(1000)[1:]:
             p = int(p)
             if (2 * abs(ctx.a2) * abs(ctx.delta)) % p == 0:
                 continue
@@ -167,20 +190,20 @@ def test_rank_matches_naive_for_four_sequences(spf_small):
             assert got == naive_rank(p, a1, a2), (a1, a2, p)
 
 
-def test_rank_divides_p_minus_epsilon(spf_small):
+def test_rank_divides_p_minus_epsilon():
     from lucasdensity.arith import jacobi
 
     ctx = make_context(2, -1)
-    for p in spf_small.primes_up_to(20_000)[1:]:
+    for p in spf_sieve(20_000)[1:]:
         p = int(p)
         if (2 * abs(ctx.a2) * abs(ctx.delta)) % p == 0:
             continue
         assert (p - jacobi(ctx.delta % p, p)) % rank(p, ctx) == 0
 
 
-def test_rank_context_equivalence(spf_small):
+def test_rank_context_equivalence():
     ctx = make_context(1, -1)
-    for p in spf_small.primes_up_to(1000)[1:]:
+    for p in spf_sieve(1000)[1:]:
         p = int(p)
         if p == 5:
             continue
@@ -237,15 +260,15 @@ def test_rank_out_of_reach():
 # ---------------------------------------------------------------------------
 
 
-def test_empirical_d1_counts_everything(spf_small):
-    rep = empirical_density(make_context(1, -1), 1, 10_000, spf=spf_small)
+def test_empirical_d1_counts_everything():
+    rep = empirical_density(make_context(1, -1), 1, 10_000)
     assert rep.ratio == 1
     assert rep.counted == rep.eligible
     assert rep.ratio_plus + rep.ratio_minus == 1
 
 
-def test_empirical_fibonacci_two_thirds(spf_small):
-    rep = empirical_density(make_context(1, -1), 2, 100_000, spf=spf_small)
+def test_empirical_fibonacci_two_thirds():
+    rep = empirical_density(make_context(1, -1), 2, 100_000)
     assert abs(rep.ratio - Fraction(2, 3)) < Fraction(1, 100)
 
 
@@ -258,26 +281,25 @@ def test_empirical_fibonacci_counts_pinned():
         6: (19661, 12282, 7379), 8: (13073, 3254, 9819),
         12: (9817, 2438, 7379),
     }
-    spf = spf_sieve(1_000_001)
     fib = make_context(1, -1)
     for d, want in pinned.items():
-        rep = empirical_density(fib, d, 1_000_000, spf=spf)
+        rep = empirical_density(fib, d, 1_000_000)
         assert (rep.counted, rep.counted_plus, rep.counted_minus) == want, d
         assert rep.eligible == 78496
 
 
-def test_empirical_report_invariants(spf_small):
-    rep = empirical_density(make_context(2, -1), 4, 20_000, spf=spf_small)
+def test_empirical_report_invariants():
+    rep = empirical_density(make_context(2, -1), 4, 20_000)
     assert rep.counted == rep.counted_plus + rep.counted_minus
     assert 0 <= rep.counted <= rep.eligible
     assert rep.ratio == Fraction(rep.counted, rep.eligible)
     assert rep.d == 4 and rep.x == 20_000
 
 
-def test_empirical_direct_element_equivalence(spf_small):
+def test_empirical_direct_element_equivalence():
     ctx = make_context(1, -1)
-    via_pair = empirical_density(ctx, 4, 20_000, spf=spf_small)
-    via_elem = empirical_density(ctx.gamma, 4, 20_000, spf=spf_small)
+    via_pair = empirical_density(ctx, 4, 20_000)
+    via_elem = empirical_density(ctx.gamma, 4, 20_000)
     assert via_pair.counted == via_elem.counted
     assert via_pair.eligible == via_elem.eligible
     assert via_pair.counted_plus == via_elem.counted_plus
@@ -301,7 +323,7 @@ def _differential_targets():
     return targets
 
 
-def test_empirical_counter_matches_scalar_rank(spf_small):
+def test_empirical_counter_matches_scalar_rank():
     x = 50_000
     # prime powers up to 2^6 and 7^2, several primes at once, and 2^17 > x + 1,
     # which no p - (D/p) reaches: every prime is eligible and none counts; so
@@ -314,7 +336,7 @@ def test_empirical_counter_matches_scalar_rank(spf_small):
         disc = target.delta if is_pair else target.disc_k
         assert is_pair or qf_norm(target) == 1
         ranks, plus_side = [], []
-        for p in spf_small.primes_up_to(x)[1:].tolist():
+        for p in spf_sieve(x)[1:].tolist():
             try:
                 ranks.append(rank(p, target))
             except LucasDensityError:
@@ -323,7 +345,7 @@ def test_empirical_counter_matches_scalar_rank(spf_small):
             if is_pair and target.a1 % p == 0:
                 on_a1 += 1
         for d in divisors:
-            rep = empirical_density(target, d, x, spf=spf_small)
+            rep = empirical_density(target, d, x)
             hits = [r % d == 0 for r in ranks]
             assert rep.eligible == len(ranks), (str(target), d)
             assert rep.counted == sum(hits), (str(target), d)
@@ -333,8 +355,8 @@ def test_empirical_counter_matches_scalar_rank(spf_small):
     assert on_a1 >= 3
 
 
-def test_chi_and_trace_match_scalar(spf_small):
-    primes = spf_small.primes_up_to(100_000)[1:]
+def test_chi_and_trace_match_scalar():
+    primes = spf_sieve(100_000)[1:]
     at_three = 0
     for target in [make_context(1, -1)] + _differential_targets():
         chain = _chain(target)
@@ -355,9 +377,9 @@ def test_empirical_large_coefficients_finish_quickly():
     assert 0 < rep.counted < rep.eligible
 
 
-def test_empirical_csv_dump(tmp_path, spf_small):
+def test_empirical_csv_dump(tmp_path):
     path = tmp_path / "ranks.csv"
-    rep = empirical_density(make_context(1, -1), 2, 2000, spf=spf_small)
+    rep = empirical_density(make_context(1, -1), 2, 2000)
     dump_ranks(make_context(1, -1), 2, 2000, str(path))
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -369,13 +391,9 @@ def test_empirical_csv_dump(tmp_path, spf_small):
     assert {r[2] for r in rows[1:]} <= {"1", "-1"}
 
 
-def test_empirical_rejects_capacity_overrun(spf_small):
-    with pytest.raises(LimitError):
-        empirical_density(make_context(1, -1), 2, 10**7, spf=spf_small)
-    # x = limit + 1 is prime here: counting only to the limit would drop it
-    with pytest.raises(LimitError):
-        empirical_density(make_context(1, -1), 2, 1009, spf=spf_sieve(1008))
-    assert empirical_density(make_context(1, -1), 2, 1009, spf=spf_sieve(1009)).eligible == 167
+def test_empirical_rejects_capacity_overrun():
+    # x = 1009 is prime: a sieve that stopped at 1008 would drop it
+    assert empirical_density(make_context(1, -1), 2, 1009).eligible == 167
 
 
 def test_report_rejects_inconsistent_counts():
@@ -388,9 +406,9 @@ def test_report_rejects_inconsistent_counts():
 
 
 @pytest.mark.parametrize("d", [2.0, 2.5, True])
-def test_empirical_rejects_non_integer_divisor(tmp_path, spf_small, d):
+def test_empirical_rejects_non_integer_divisor(tmp_path, d):
     with pytest.raises(LucasDensityError, match=f"d must be a positive integer, got {d!r}"):
-        empirical_density(make_context(1, -1), d, 1000, spf=spf_small)
+        empirical_density(make_context(1, -1), d, 1000)
     with pytest.raises(LucasDensityError, match="d must be a positive integer"):
         dump_ranks(make_context(1, -1), d, 1000, str(tmp_path / "ranks.csv"))
 
@@ -409,9 +427,9 @@ def test_empirical_layer_refuses_non_integer_sizes(tmp_path, value):
         assert str(info.value) == f"{name} must be a positive integer, got {value!r}"
 
 
-def test_default_sieve_reaches_the_ceiling(monkeypatch, spf_small):
+def test_default_sieve_reaches_the_ceiling(monkeypatch):
     # counting to x needs a sieve to x, not x + 1: x at the ceiling is allowed
-    want = empirical_density(make_context(1, -1), 2, 1000, spf=spf_small)
+    want = empirical_density(make_context(1, -1), 2, 1000)
     monkeypatch.setattr("lucasdensity.lucasrank.SIEVE_CEILING", 1000)
     assert empirical_density(make_context(1, -1), 2, 1000) == want
     assert want.eligible == 166  # the 168 primes below 1000 but 2 and 5

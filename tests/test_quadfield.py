@@ -52,7 +52,8 @@ from oracles import padic_support_exponents
 _OPTIMIZED_CHECK = """
 from fractions import Fraction
 from lucasdensity import (DensityResult, EmpiricalReport, LucasDensityError, QuadElem, STerm,
-                          dispatch, empirical_density, make_context, power_index, rank)
+                          dispatch, empirical_density, gamma_from_radicand, make_context,
+                          power_index, rank)
 from lucasdensity.density import kummer_profile
 from lucasdensity.kummer import (KummerProfile, _membership, cubic_conductor, quartic_conductor,
                                  sqrt_data)
@@ -76,6 +77,9 @@ calls.append(lambda: quartic_conductor(QuadElem(-3, Fraction(-13, 14), Fraction(
 calls.append(lambda: rank(7, 5))
 calls.append(lambda: empirical_density(fib, 2, 1e4))
 calls.append(lambda: power_index(5))
+calls.append(lambda: sqrt_data(QuadElem(8, 1, 0)))
+calls.append(lambda: gamma_from_radicand(1, 1, 5.5))
+calls.append(lambda: make_context(True, -1))
 for call in calls:
     try:
         call()
@@ -111,7 +115,7 @@ def test_quad_elem_validation_survives_optimize_flag():
         "LucasDensityError d must be a positive integer, got 2.5",
         "LucasDensityError disc_k = -12 is not a fundamental discriminant (the field's is -3):"
         " build the element with gamma_from_radicand",
-        "LucasDensityError sqrt_data needs a root of norm +-1, got 3+1*sqrt(5) of norm 4",
+        "LucasDensityError sqrt_data needs a root of norm +-1 off Q, got 3+1*sqrt(5) of norm 4",
         "LucasDensityError cubic_conductor needs a norm-1 root over disc -3 off Q,"
         " got (-3+2*sqrt(-4))/5",
         "LucasDensityError quartic_conductor needs a norm-1 root over disc -4 off Q,"
@@ -119,6 +123,9 @@ def test_quad_elem_validation_survives_optimize_flag():
         "LucasDensityError rank needs a sequence context or field element, got 5",
         "LucasDensityError x must be a positive integer, got 10000.0",
         "LucasDensityError power index needs a sequence context or field element, got 5",
+        "LucasDensityError sqrt_data needs a root of norm +-1 off Q, got 1+0*sqrt(8) of norm 1",
+        "LucasDensityError radicand must be an integer, got 5.5",
+        "LucasDensityError a1 must be an integer, got True",
     ]
 
 
@@ -252,6 +259,24 @@ def test_gamma_from_radicand():
     assert gamma_from_radicand(F(1), F(2), 45) == QuadElem(5, F(1), F(6))
     with pytest.raises(ReducibleError):
         gamma_from_radicand(F(1), F(1), 9)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: make_context(1.5, 2), "a1 must be an integer, got 1.5"),
+    (lambda: make_context("1", 2), "a1 must be an integer, got '1'"),
+    (lambda: make_context(True, -1), "a1 must be an integer, got True"),
+    (lambda: make_context(1, -1.0), "a2 must be an integer, got -1.0"),
+    (lambda: make_context(1, False), "a2 must be an integer, got False"),
+    (lambda: gamma_from_radicand(1, 1, 5.5), "radicand must be an integer, got 5.5"),
+    (lambda: gamma_from_radicand(1, 1, "5"), "radicand must be an integer, got '5'"),
+    (lambda: gamma_from_radicand(1, 1, True), "radicand must be an integer, got True"),
+], ids=["a1-float", "a1-str", "a1-bool", "a2-float", "a2-bool",
+        "radicand-float", "radicand-str", "radicand-bool"])
+def test_constructors_refuse_non_integers_by_name(call, message):
+    with pytest.raises(LucasDensityError) as info:
+        call()
+    assert type(info.value) is LucasDensityError
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
