@@ -57,17 +57,9 @@ def _echo_str(value) -> object:
 
 
 def _trace_dicts(result: DensityResult) -> list[dict]:
-    return [
-        {
-            "d": t.d,
-            "e": t.e,
-            "h": t.h,
-            "nu": t.nu,
-            "coeff": _num_den(Fraction(t.coefficient)),
-            "value": _num_den(Fraction(t.value)),
-        }
-        for t in result.trace
-    ]
+    return [{"d": t.d, "e": t.e, "h": t.h, "nu": t.nu,
+             "coeff": _num_den(t.coefficient), "value": _num_den(t.value)}
+            for t in result.trace]
 
 
 def _density_json(result: DensityResult) -> dict:
@@ -354,9 +346,9 @@ def cmd_explain(args: argparse.Namespace) -> int:
     print(f"terms ({len(result.trace)}):")
     for t in result.trace:
         print(
-            f"  {_rat(Fraction(t.coefficient)):>6} * S(d={t.d}, e={t.e}, "
-            f"h={t.h}, nu={t.nu}) = {_rat(Fraction(t.coefficient)):>6} * "
-            f"{_rat(Fraction(t.value))} = {_rat(Fraction(t.coefficient) * Fraction(t.value))}"
+            f"  {_rat(t.coefficient):>6} * S(d={t.d}, e={t.e}, "
+            f"h={t.h}, nu={t.nu}) = {_rat(t.coefficient):>6} * "
+            f"{_rat(t.value)} = {_rat(t.contribution)}"
         )
     print(f"delta = {_rat_dec(result.delta)}")
     print(f"delta_plus = {_rat_dec(result.delta_plus)}")

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -122,9 +122,12 @@ class STerm:
 
 @dataclass(frozen=True)
 class DensityResult:
-    """Exact density of {p : d | rank(p)} with its split, trace and echo."""
+    """Exact density of {p : d | rank(p)} with its split, trace and echo.
 
-    delta: Fraction
+    delta = delta_plus + delta_minus (split and inert primes) is derived.
+    """
+
+    delta: Fraction = field(init=False)
     delta_plus: Fraction
     delta_minus: Fraction
     case_tag: str
@@ -132,15 +135,12 @@ class DensityResult:
     inputs_echo: dict
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "delta", self.delta_plus + self.delta_minus)
         if not 0 <= self.delta <= 1:
             raise LucasDensityError(f"DensityResult.delta={self.delta} is outside [0, 1]")
         for name in ("delta_plus", "delta_minus"):
             if getattr(self, name) < 0:
                 raise LucasDensityError(f"DensityResult.{name}={getattr(self, name)} is negative")
-        if self.delta_plus + self.delta_minus != self.delta:
-            raise LucasDensityError(
-                f"DensityResult.delta_plus + delta_minus = {self.delta_plus + self.delta_minus}"
-                f" differs from delta={self.delta}")
         if sum((t.contribution for t in self.trace), Fraction(0)) != self.delta:
             raise LucasDensityError(
                 f"DensityResult.trace does not reproduce delta={self.delta}")
@@ -194,7 +194,7 @@ def _field_disc(disc: int) -> int:
 def _gamma_of(target: Target) -> QuadElem:
     # norm and torsion: root_quotient refuses them in the cached _pix -> power_index
     if isinstance(target, SequenceContext):
-        return target.gamma  # make_context took its disc_k from disc_and_scale
+        return target.gamma  # SequenceContext took its disc_k from disc_and_scale
     if not isinstance(target, QuadElem):
         raise LucasDensityError(f"expected a sequence context or field element, got {target!r}")
     if _field_disc(target.disc_k) != target.disc_k:
@@ -317,10 +317,6 @@ def _hat(n: int, d: int) -> int:
     return abs(n) // math.gcd(d, abs(n))
 
 
-def _result(dplus: Fraction, dminus: Fraction, tag: str, trace: tuple, echo: dict) -> DensityResult:
-    return DensityResult(dplus + dminus, dplus, dminus, tag, trace, echo)
-
-
 def _scaled(inner: DensityResult, factor: Fraction) -> tuple:
     return tuple(STerm(t.d, t.e, t.h, t.nu, t.coefficient * factor, t.value) for t in inner.trace)
 
@@ -394,7 +390,7 @@ def _normal(d: int, profile: KummerProfile) -> DensityResult:
             dplus += c_plus * value
             dminus += c_minus * value
             trace.append(STerm(d, e_row, h, nu, Fraction(c_plus + c_minus), value))
-    result = _result(dplus, dminus, tag, tuple(trace), _echo_base(profile, **extra))
+    result = DensityResult(dplus, dminus, tag, tuple(trace), _echo_base(profile, **extra))
     if tag == CASE_ODD_GENERIC:
         series = _series(profile, d)
         if series != result.delta:
@@ -440,7 +436,7 @@ def _hi_twist(d: int, twisted: QuadElem, echo_extra: dict) -> DensityResult:
     inner = _normal(rest, profile)
     half = inner.delta * scale / 2
     echo = _echo_base(profile, k=k, **{key: rest}, m=m, scale=scale, **echo_extra)
-    return _result(half, half, tag, _scaled(inner, scale), echo)
+    return DensityResult(half, half, tag, _scaled(inner, scale), echo)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +460,7 @@ def _dispatch(gamma: QuadElem, d: int) -> DensityResult:
         # trivially every rank is divisible by 1; no normalization needed
         trace = (STerm(1, 1, pix.table[0], 1, Fraction(1), Fraction(1)),)
         echo = {"h": pix.h, "zeta_star": zeta_label(disc, j), "d": 1}
-        return _result(_HALF, _HALF, CASE_ODD_GENERIC, trace, echo)
+        return DensityResult(_HALF, _HALF, CASE_ODD_GENERIC, trace, echo)
 
     order = n_mu // math.gcd(j, n_mu)
     if order in (2, 6):
@@ -478,7 +474,7 @@ def _dispatch(gamma: QuadElem, d: int) -> DensityResult:
         trace = tuple(t for c, r in parts for t in _scaled(r, Fraction(c)))
         echo = {"h": pix.h, "zeta_star": zeta_label(disc, j), "v2_split": split,
                 "components": tuple((c, r.case_tag) for c, r in parts)}
-        return _result(dplus, dminus, CASE_SWITCH, trace, echo)
+        return DensityResult(dplus, dminus, CASE_SWITCH, trace, echo)
 
     # a primitive fourth (Gaussian) or cube (Eisenstein) root of unity
     conjugated = 2 * j > n_mu

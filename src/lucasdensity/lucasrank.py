@@ -41,7 +41,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Union
 
@@ -227,26 +227,30 @@ def rank(p: int, target: Target) -> int:
 
 @dataclass(frozen=True)
 class EmpiricalReport:
-    """Counts and ratios of primes p <= x with d | rank(p)."""
+    """Counts and ratios of primes p <= x with d | rank(p).
+
+    counted_minus and the ratios over eligible (0 when none is) are derived.
+    """
 
     d: int
     x: int
     counted: int
     counted_plus: int
-    counted_minus: int
+    counted_minus: int = field(init=False)
     eligible: int
-    ratio: Fraction
-    ratio_plus: Fraction
-    ratio_minus: Fraction
+    ratio: Fraction = field(init=False)
+    ratio_plus: Fraction = field(init=False)
+    ratio_minus: Fraction = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.counted != self.counted_plus + self.counted_minus:
-            raise LucasDensityError(
-                f"EmpiricalReport.counted={self.counted} differs from counted_plus"
-                f" + counted_minus = {self.counted_plus + self.counted_minus}")
-        if not 0 <= self.counted <= self.eligible:
-            raise LucasDensityError(
-                f"EmpiricalReport.counted={self.counted} is outside [0, eligible={self.eligible}]")
+        if not 0 <= self.counted_plus <= self.counted <= self.eligible:
+            raise LucasDensityError(f"EmpiricalReport needs 0 <= counted_plus={self.counted_plus}"
+                                    f" <= counted={self.counted} <= eligible={self.eligible}")
+        object.__setattr__(self, "counted_minus", self.counted - self.counted_plus)
+        over = self.eligible or 1  # every count is 0 when eligible is
+        object.__setattr__(self, "ratio", Fraction(self.counted, over))
+        object.__setattr__(self, "ratio_plus", Fraction(self.counted_plus, over))
+        object.__setattr__(self, "ratio_minus", Fraction(self.counted_minus, over))
 
 
 def _divisible(
@@ -299,9 +303,7 @@ def empirical_density(target: Target, d: int, x: int) -> EmpiricalReport:
         hit = _divisible(t, p - chi, p, powers)
         counted += int(hit.sum())
         plus += int((hit & (chi == 1)).sum())
-    minus = counted - plus
-    ratios = [Fraction(n, eligible) if eligible else Fraction(0) for n in (counted, plus, minus)]
-    return EmpiricalReport(d, x, counted, plus, minus, eligible, *ratios)
+    return EmpiricalReport(d, x, counted, plus, eligible)
 
 
 def dump_ranks(target: Target, d: int, x: int, path: str) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -35,15 +35,21 @@ from .errors import (
 
 @dataclass(frozen=True)
 class QuadElem:
-    """u + v*sqrt(disc_k) with rational u, v and fundamental discriminant disc_k."""
+    """u + v*sqrt(disc_k): an int fundamental discriminant, int or Fraction u and v."""
 
     disc_k: int
     u: Fraction
     v: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "u", Fraction(self.u))
-        object.__setattr__(self, "v", Fraction(self.v))
+        validate_int(disc_k=self.disc_k)
+        for name in ("u", "v"):
+            val = getattr(self, name)
+            if not isinstance(val, Fraction):
+                if not isinstance(val, int) or isinstance(val, bool):
+                    raise LucasDensityError(
+                        f"QuadElem.{name} must be an int or a Fraction, got {val!r}")
+                object.__setattr__(self, name, Fraction(val))
         d = self.disc_k
         if d % 4 not in (0, 1) or d == 0:
             raise LucasDensityError(f"not a discriminant: {d}")
@@ -141,13 +147,34 @@ def gamma_from_radicand(u: Fraction, v: Fraction, radicand: int) -> QuadElem:
 
 @dataclass(frozen=True)
 class SequenceContext:
-    """A recurrence x_{n+2} = a1*x_{n+1} - a2*x_n together with its root quotient."""
+    """The recurrence x_{n+2} = a1*x_{n+1} - a2*x_n, built from (a1, a2) alone.
+
+    delta = a1**2 - 4*a2, its fundamental discriminant disc_k and the norm-1
+    root quotient gamma over disc_k are derived once, here.
+    """
 
     a1: int
     a2: int
-    delta: int
-    disc_k: int
-    gamma: QuadElem
+    delta: int = field(init=False)
+    disc_k: int = field(init=False)
+    gamma: QuadElem = field(init=False)
+
+    def __post_init__(self) -> None:
+        a1, a2 = self.a1, self.a2
+        validate_int(a1=a1, a2=a2)
+        if a1 == 0 or a2 == 0:
+            raise ZeroParameterError(f"parameters must be nonzero, got ({a1}, {a2})")
+        delta = a1 * a1 - 4 * a2
+        if delta >= 0 and math.isqrt(delta) ** 2 == delta:
+            raise ReducibleError(f"characteristic polynomial splits over Q (delta = {delta})")
+        disc, scale = disc_and_scale(delta)
+        gamma = QuadElem(disc, Fraction(a1 * a1 - 2 * a2, 2 * a2), Fraction(a1, 2 * a2) * scale)
+        assert qf_norm(gamma) == 1, "root quotient must have norm 1"
+        if is_torsion(gamma):
+            raise TorsionError(f"root quotient of ({a1}, {a2}) is a root of unity")
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "disc_k", disc)
+        object.__setattr__(self, "gamma", gamma)
 
 
 # what the density and rank layers accept: a recurrence or its root quotient
@@ -203,22 +230,7 @@ def root_quotient(target: Target, layer: str) -> QuadElem:
 
 def make_context(a1: int, a2: int) -> SequenceContext:
     """Build the context for the recurrence with parameters (a1, a2)."""
-    validate_int(a1=a1, a2=a2)
-    if a1 == 0 or a2 == 0:
-        raise ZeroParameterError(f"parameters must be nonzero, got ({a1}, {a2})")
-    delta = a1 * a1 - 4 * a2
-    if delta >= 0 and math.isqrt(delta) ** 2 == delta:
-        raise ReducibleError(f"characteristic polynomial splits over Q (delta = {delta})")
-    disc, scale = disc_and_scale(delta)
-    gamma = QuadElem(
-        disc,
-        Fraction(a1 * a1 - 2 * a2, 2 * a2),
-        Fraction(a1, 2 * a2) * scale,
-    )
-    assert qf_norm(gamma) == 1, "root quotient must have norm 1"
-    if is_torsion(gamma):
-        raise TorsionError(f"root quotient of ({a1}, {a2}) is a root of unity")
-    return SequenceContext(a1=a1, a2=a2, delta=delta, disc_k=disc, gamma=gamma)
+    return SequenceContext(a1, a2)
 
 
 # ---------------------------------------------------------------------------
@@ -477,16 +489,10 @@ class PowerIndexData:
 
 
 def _tie_break_order(nmu: int) -> tuple[int, ...]:
-    # 1 first, then -1, then the rest by ascending multiplicative order and
-    # exponent: ties between twists differing by -1 (inevitable whenever the
-    # maximum is odd) must resolve to the lower-order root so that the
-    # specialised density formulas apply without an extra sign switch
-    if nmu == 2:
-        return (0, 1)
-    if nmu == 4:
-        return (0, 2, 1, 3)
-    assert nmu == 6, f"impossible torsion order {nmu}"
-    return (0, 3, 2, 4, 1, 5)
+    # by multiplicative order nmu / gcd(j, nmu), then j: ties between twists
+    # differing by -1 (inevitable whenever the maximum is odd) must resolve to
+    # the lower-order root, so the density formulas need no extra sign switch
+    return tuple(sorted(range(nmu), key=lambda j: (nmu // math.gcd(j, nmu), j)))
 
 
 def _support_exponents(x: QuadElem) -> list[tuple[int, int]]:

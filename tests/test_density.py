@@ -22,6 +22,7 @@ from lucasdensity.density import (
     REFERENCE_PROFILES,
     REFERENCE_ROWS,
     DensityResult,
+    STerm,
     _pix,
     _stable_exponents,
     _valuation,
@@ -280,6 +281,18 @@ def test_result_shape():
     total = sum(t.coefficient * t.value for t in res.trace)
     assert total == res.delta
     assert res.inputs_echo["h"] == 2
+
+
+def test_result_derives_delta_from_its_split():
+    term = STerm(1, 1, 1, 1, Fraction(3, 8), Fraction(1))
+    res = DensityResult(Fraction(1, 4), Fraction(1, 8), "t", (term,), {})
+    assert res.delta == Fraction(3, 8)
+    with pytest.raises(TypeError):
+        DensityResult(Fraction(3, 8), Fraction(1, 4), Fraction(1, 8), "t", (term,), {})
+    with pytest.raises(LucasDensityError, match="delta_minus=-1/8 is negative"):
+        DensityResult(Fraction(1, 2), Fraction(-1, 8), "t", (term,), {})
+    with pytest.raises(LucasDensityError, match="trace does not reproduce delta=3/8"):
+        DensityResult(Fraction(1, 4), Fraction(1, 8), "t", (), {})
 
 
 # ---------------------------------------------------------------------------

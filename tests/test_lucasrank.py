@@ -397,12 +397,18 @@ def test_empirical_rejects_capacity_overrun():
 
 
 def test_report_rejects_inconsistent_counts():
-    with pytest.raises(LucasDensityError, match="EmpiricalReport.counted=3"):
-        EmpiricalReport(
-            d=2, x=10, counted=3, counted_plus=1, counted_minus=1,
-            eligible=5, ratio=Fraction(3, 5), ratio_plus=Fraction(1, 5),
-            ratio_minus=Fraction(1, 5),
-        )
+    with pytest.raises(LucasDensityError, match="^EmpiricalReport needs 0 <= counted_plus=4"
+                       " <= counted=3 <= eligible=5$"):
+        EmpiricalReport(d=2, x=10, counted=3, counted_plus=4, eligible=5)
+
+
+def test_report_derives_the_inert_count_and_ratios():
+    rep = EmpiricalReport(2, 10, 3, 1, 5)
+    assert (rep.counted_minus, rep.ratio, rep.ratio_plus, rep.ratio_minus) == (
+        2, Fraction(3, 5), Fraction(1, 5), Fraction(2, 5))
+    assert EmpiricalReport(2, 1, 0, 0, 0).ratio == 0
+    with pytest.raises(TypeError):
+        EmpiricalReport(2, 10, 3, 1, 2, 5, Fraction(9, 10), Fraction(1, 5), Fraction(2, 5))
 
 
 @pytest.mark.parametrize("d", [2.0, 2.5, True])

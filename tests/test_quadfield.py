@@ -22,6 +22,7 @@ from lucasdensity.errors import (
 )
 from lucasdensity.quadfield import (
     QuadElem,
+    SequenceContext,
     _support_exponents,
     _tie_break_order,
     fundamental_unit,
@@ -66,9 +67,8 @@ calls.append(lambda: KummerProfile(fib, power_index(fib),
                                    sqrt_data(QuadElem(5, Fraction(3, 2), Fraction(1, 2))), None))
 calls.append(lambda: KummerProfile(gauss, power_index(gauss), sqrt_data(gauss), None))
 calls.append(lambda: _membership(5, 10, kummer_profile(QuadElem(5, Fraction(3, 2), Fraction(1, 2)))))
-calls.append(lambda: DensityResult(Fraction(2), Fraction(1), Fraction(1), "t", (), {}))
-calls.append(lambda: EmpiricalReport(2, 10, 3, 1, 1, 5, Fraction(3, 5),
-                                     Fraction(1, 5), Fraction(1, 5)))
+calls.append(lambda: DensityResult(Fraction(1), Fraction(1), "t", (), {}))
+calls.append(lambda: EmpiricalReport(2, 10, 3, 4, 5))
 calls.append(lambda: empirical_density(make_context(1, -1), 2.5, 1000))
 calls.append(lambda: dispatch(QuadElem(-12, Fraction(-13, 14), Fraction(3, 28)), 3))
 calls.append(lambda: sqrt_data(QuadElem(5, 3, 1)))
@@ -80,6 +80,9 @@ calls.append(lambda: power_index(5))
 calls.append(lambda: sqrt_data(QuadElem(8, 1, 0)))
 calls.append(lambda: gamma_from_radicand(1, 1, 5.5))
 calls.append(lambda: make_context(True, -1))
+calls.append(lambda: QuadElem("5", 1, 1))
+calls.append(lambda: QuadElem(5.0, 1, 1))
+calls.append(lambda: QuadElem(5, "a", 1))
 for call in calls:
     try:
         call()
@@ -110,8 +113,8 @@ def test_quad_elem_validation_survives_optimize_flag():
         " disc -4 and -3, got None",
         "LucasDensityError no twisted-root membership test for m=5",
         "LucasDensityError DensityResult.delta=2 is outside [0, 1]",
-        "LucasDensityError EmpiricalReport.counted=3 differs from counted_plus"
-        " + counted_minus = 2",
+        "LucasDensityError EmpiricalReport needs 0 <= counted_plus=4 <= counted=3"
+        " <= eligible=5",
         "LucasDensityError d must be a positive integer, got 2.5",
         "LucasDensityError disc_k = -12 is not a fundamental discriminant (the field's is -3):"
         " build the element with gamma_from_radicand",
@@ -126,6 +129,9 @@ def test_quad_elem_validation_survives_optimize_flag():
         "LucasDensityError sqrt_data needs a root of norm +-1 off Q, got 1+0*sqrt(8) of norm 1",
         "LucasDensityError radicand must be an integer, got 5.5",
         "LucasDensityError a1 must be an integer, got True",
+        "LucasDensityError disc_k must be an integer, got '5'",
+        "LucasDensityError disc_k must be an integer, got 5.0",
+        "LucasDensityError QuadElem.u must be an int or a Fraction, got 'a'",
     ]
 
 
@@ -213,6 +219,19 @@ def test_quad_elem_ascii_form():
     assert str(QuadElem(-3, F(1, 2), F(-1, 6))) == "(3-1*sqrt(-3))/6"
 
 
+# "5", 5.0 and "a" are in _OPTIMIZED_CHECK
+@pytest.mark.parametrize("disc, u, v, message", [
+    (True, 1, 0, r"disc_k must be an integer, got True"),
+    (5, "1/2", 1, r"QuadElem\.u must be an int or a Fraction, got '1/2'"),
+    (5, 0.5, 1, r"QuadElem\.u must be an int or a Fraction, got 0\.5"),
+    (5, 1, 1.0, r"QuadElem\.v must be an int or a Fraction, got 1\.0"),
+    (5, 1, False, r"QuadElem\.v must be an int or a Fraction, got False"),
+])
+def test_quad_elem_refuses_other_types(disc, u, v, message):
+    with pytest.raises(LucasDensityError, match=f"^{message}$"):
+        QuadElem(disc, u, v)
+
+
 # ---------------------------------------------------------------------------
 # contexts
 # ---------------------------------------------------------------------------
@@ -226,6 +245,20 @@ def test_make_context_pinned():
     ctx = make_context(2, -1)
     assert (ctx.delta, ctx.disc_k) == (8, 8)
     assert ctx.gamma == QuadElem(8, F(-3), F(-1))
+
+
+def test_context_is_built_from_its_parameters_alone():
+    fib = make_context(1, -1)
+    with pytest.raises(TypeError):
+        SequenceContext(1, -1, 7, 5, fib.gamma)
+    with pytest.raises(TypeError):
+        SequenceContext(1, -1, gamma=fib.gamma)
+    for a1, a2 in [(1, -1), (2, -1), (1, 3), (5, 3), (-7, 11), (10**9 + 7, 10**9 + 9)]:
+        ctx = SequenceContext(a1, a2)
+        assert ctx == make_context(a1, a2) and hash(ctx) == hash(make_context(a1, a2))
+        assert ctx.delta == a1 * a1 - 4 * a2 and ctx.gamma.disc_k == ctx.disc_k
+    with pytest.raises(LucasDensityError, match="^a2 must be an integer, got 1.5$"):
+        SequenceContext(1, 1.5)
 
 
 def test_make_context_rejections():
