@@ -167,7 +167,7 @@ def _resolve_target(args: argparse.Namespace) -> Target:
     except (ValueError, ZeroDivisionError) as exc:
         raise LucasDensityError(f"unparsable --gamma component: {exc}") from exc
     # a rational element has norm u^2, or is the root of unity +-1
-    return root_quotient(gamma_from_radicand(u, v, args.radicand), "density")
+    return root_quotient(gamma_from_radicand(u, v, args.radicand), args.subcommand)
 
 
 # ---------------------------------------------------------------------------
@@ -278,60 +278,53 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_tables(args: argparse.Namespace) -> int:
     if args.limit:
         _check_limit(args.limit)
-    entries = []
-    mismatches = 0
+    # (row, result, match, (empirical ratio, deviation) or None), for every format
+    rows = []
     for row in REFERENCE_ROWS:
         result = dispatch(row.gamma, row.d)
         ok = result.delta == row.delta and result.case_tag == row.case_tag
-        mismatches += 0 if ok else 1
-        entry = {
-            "gamma": str(row.gamma),
-            "d": row.d,
-            "computed": _num_den(result.delta),
-            "expected": _num_den(row.delta),
-            "case": result.case_tag,
-            "match": ok,
-        }
-        if row.annotation:
-            entry["annotation"] = row.annotation
+        empirical = None
         if args.limit:
             ratio = empirical_density(row.gamma, row.d, args.limit).ratio
-            entry["empirical"] = float(ratio)
-            entry["deviation"] = float(abs(ratio - row.delta))
-        entries.append(entry)
+            empirical = (float(ratio), float(abs(ratio - row.delta)))
+        rows.append((row, result, ok, empirical))
+    matches = sum(ok for _, _, ok, _ in rows)
 
     if args.format == "json":
+        entries = []
+        for row, result, ok, empirical in rows:
+            entry = {"gamma": str(row.gamma), "d": row.d, "computed": _num_den(result.delta),
+                     "expected": _num_den(row.delta), "case": result.case_tag, "match": ok}
+            if row.annotation:
+                entry["annotation"] = row.annotation
+            if empirical:
+                entry["empirical"], entry["deviation"] = empirical
+            entries.append(entry)
         print(json.dumps(entries))
     elif args.format == "csv":
         cols = ["gamma", "d", "case", "computed", "expected", "match"]
         if args.limit:
             cols += ["empirical", "deviation"]
         print(",".join(cols))
-        for e in entries:
-            vals = [
-                f"\"{e['gamma']}\"", str(e["d"]), e["case"],
-                f"{e['computed']['num']}/{e['computed']['den']}",
-                f"{e['expected']['num']}/{e['expected']['den']}",
-                str(int(e["match"])),
-            ]
-            if args.limit:
-                vals += [f"{e['empirical']:.6f}", f"{e['deviation']:.6f}"]
+        for row, result, ok, empirical in rows:
+            vals = [f"\"{row.gamma}\"", str(row.d), result.case_tag,
+                    f"{result.delta.numerator}/{result.delta.denominator}",
+                    f"{row.delta.numerator}/{row.delta.denominator}", str(int(ok))]
+            if empirical:
+                vals += [f"{x:.6f}" for x in empirical]
             print(",".join(vals))
     else:
-        for e in entries:
-            comp = Fraction(e["computed"]["num"], e["computed"]["den"])
-            line = (
-                f"{e['gamma']:>26}  d={e['d']:<4} {e['case']:<13} "
-                f"{_rat(comp):>12}  {'ok' if e['match'] else 'MISMATCH'}"
-            )
-            if args.limit:
-                line += f"  empirical {e['empirical']:.6f} (dev {e['deviation']:.6f})"
+        for row, result, ok, empirical in rows:
+            line = (f"{str(row.gamma):>26}  d={row.d:<4} {result.case_tag:<13} "
+                    f"{_rat(result.delta):>12}  {'ok' if ok else 'MISMATCH'}")
+            if empirical:
+                line += "  empirical {:.6f} (dev {:.6f})".format(*empirical)
             print(line)
-            if e.get("annotation"):
-                print(f"{'':28}note: {e['annotation']}")
-        print(f"{len(entries) - mismatches}/{len(entries)} rows match the expected values")
+            if row.annotation:
+                print(f"{'':28}note: {row.annotation}")
+        print(f"{matches}/{len(rows)} rows match the expected values")
 
-    return EXIT_OK if mismatches == 0 else EXIT_INCONSISTENT
+    return EXIT_OK if matches == len(rows) else EXIT_INCONSISTENT
 
 
 def cmd_explain(args: argparse.Namespace) -> int:

@@ -15,8 +15,8 @@ field, and _dispatch folds -1 and the sixth roots into the sign-switched
 element by inclusion-exclusion.
 
 Both the case formulas and the series see a normal form only through its
-kummer.KummerProfile: h, #mu(K), delta1, delta2 and one conductor, which
-kummer_profile reads off the h-th root gamma0 and the profile checks once.
+kummer.KummerProfile: h, #mu(K), delta1, delta2 and one conductor, which the
+profile derives from gamma's power index, once.
 """
 
 from __future__ import annotations
@@ -42,22 +42,16 @@ from .errors import (
     OracleMismatchError,
     UnreachableCaseError,
 )
-from .kummer import (
-    KummerProfile,
-    cubic_conductor,
-    kummer_degree,
-    quartic_conductor,
-    sigma_exists,
-    sqrt_data,
-)
+from .kummer import KummerProfile, kummer_degree, sigma_exists
 from .quadfield import (
     PowerIndexData,
     QuadElem,
-    SequenceContext,
     Target,
     disc_and_scale,
+    element_of,
     power_index,
     qf_conj,
+    zeta_label,
 )
 
 Rat = Union[Fraction, int]
@@ -71,17 +65,6 @@ CASE_SWITCH = "SWITCH_MINUS1"
 CASE_GAUSS_HI = "GAUSS_HI"
 CASE_EISEN_HOMEGA = "EISEN_HOMEGA"
 CASE_ODD_GENERIC = "ODD_GENERIC"
-
-_ZETA_LABELS = {
-    -4: ("1", "i", "-1", "-i"),
-    -3: ("1", "zeta6", "omega", "-1", "omega^2", "zeta6^-1"),
-}
-
-
-def zeta_label(disc_k: int, exp: int) -> str:
-    """Display string for the torsion unit of exponent `exp` in the field."""
-    return _ZETA_LABELS.get(disc_k, ("1", "-1"))[exp]
-
 
 # ---------------------------------------------------------------------------
 # value objects
@@ -191,18 +174,17 @@ def _field_disc(disc: int) -> int:
     return disc_and_scale(disc)[0]
 
 
-def _gamma_of(target: Target) -> QuadElem:
-    # norm and torsion: root_quotient refuses them in the cached _pix -> power_index
-    if isinstance(target, SequenceContext):
-        return target.gamma  # SequenceContext took its disc_k from disc_and_scale
-    if not isinstance(target, QuadElem):
-        raise LucasDensityError(f"expected a sequence context or field element, got {target!r}")
-    if _field_disc(target.disc_k) != target.disc_k:
+# element_of runs before a cache hashes the target; root_quotient refuses norm
+# and torsion inside the cached _pix -> power_index
+def _gamma_of(target: Target, layer: str) -> QuadElem:
+    gamma = element_of(target, layer)
+    # a SequenceContext took its disc_k from disc_and_scale
+    if isinstance(target, QuadElem) and _field_disc(gamma.disc_k) != gamma.disc_k:
         raise LucasDensityError(
-            f"disc_k = {target.disc_k} is not a fundamental discriminant (the field's is"
-            f" {_field_disc(target.disc_k)}): build the element with gamma_from_radicand"
+            f"disc_k = {gamma.disc_k} is not a fundamental discriminant (the field's is"
+            f" {_field_disc(gamma.disc_k)}): build the element with gamma_from_radicand"
         )
-    return target
+    return gamma
 
 
 def normal_form(target: Target) -> QuadElem:
@@ -211,21 +193,21 @@ def normal_form(target: Target) -> QuadElem:
     kummer_profile and series_oracle work on normal forms only; the density of
     a twisted element differs from its normal form's (dispatch handles both).
     """
-    return _pix(_gamma_of(target)).gamma_tilde
+    return _pix(_gamma_of(target, "normal form")).gamma_tilde
+
+
+def kummer_profile(target: Target) -> KummerProfile:
+    """Profile of a normal-form element or of a context's root quotient.
+
+    disc_k must be fundamental, or the profile can be silently wrong;
+    dispatch, series_oracle and normal_form refuse any other disc_k.
+    """
+    return _profile(element_of(target, "kummer profile"))
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def kummer_profile(gamma: QuadElem) -> KummerProfile:
-    """Profile of a normal-form element (maximal twist already at zeta = 1).
-
-    The square-root data and the conductor are read off the h-th root gamma0.
-    gamma.disc_k must be fundamental, or the profile can be silently wrong;
-    dispatch, series_oracle and normal_form refuse any other disc_k.
-    """
-    pix = _pix(gamma)
-    root = pix.gamma0
-    conductor = {-4: quartic_conductor, -3: cubic_conductor}.get(gamma.disc_k)
-    return KummerProfile(gamma, pix, sqrt_data(root), conductor(root) if conductor else None)
+def _profile(gamma: QuadElem) -> KummerProfile:
+    return KummerProfile(gamma, _pix(gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +257,7 @@ def series_oracle(target: Target, d: int) -> Fraction:
     The terms are summed as integer numerators over a running lcm of the
     denominators.  The element must be in normal form (see normal_form).
     """
-    gamma = _gamma_of(target)
+    gamma = _gamma_of(target, "series oracle")
     validate_positive(d=d)
     return _series(kummer_profile(gamma), d)
 
@@ -445,7 +427,7 @@ def _hi_twist(d: int, twisted: QuadElem, echo_extra: dict) -> DensityResult:
 
 def dispatch(target: Target, d: int) -> DensityResult:
     """Route (gamma, d) to its case formula and return the certified result."""
-    gamma = _gamma_of(target)
+    gamma = _gamma_of(target, "dispatch")
     validate_positive(d=d)
     return _dispatch(gamma, d)
 

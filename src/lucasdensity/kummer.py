@@ -9,13 +9,14 @@ congruence.  poly_field_disc (round two, every linear solve an integer forward
 substitution against a Hermite basis) stays as the reference the tests
 compare them with.  A KummerProfile carries the invariants of one normal form
 (power index, square-root data, conductor) and is the one input of
-kummer_degree and sigma_exists; it checks them once, when it is built.
+kummer_degree and sigma_exists; it derives the last two and checks them
+once, when it is built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -432,28 +433,32 @@ def cubic_conductor(root: QuadElem) -> int:
 class KummerProfile:
     """Everything the degree and fixed-point formulas need about one normal form.
 
-    ``pix`` is gamma's power index, ``sqrt`` the square-root data of its h-th
-    root pix.gamma0, and ``conductor`` the quartic (disc -4) or cubic (disc -3)
-    conductor of that root.  The constructor checks that gamma is a normal
-    form (zeta* = 1, so h = h(1)) and that the conductor is set exactly over
-    those two fields; kummer_degree, sigma_exists and _membership rely on both.
+    Built from gamma and its power index ``pix`` alone: ``sqrt`` is the
+    square-root data of the h-th root pix.gamma0, ``conductor`` its quartic
+    (disc -4) or cubic (disc -3) conductor and None elsewhere.  The constructor
+    refuses a gamma that is not a normal form (zeta* = 1, so h = h(1)) and the
+    pix of another element; kummer_degree, sigma_exists and _membership rely on both.
     """
 
     gamma: QuadElem
     pix: PowerIndexData
-    sqrt: SqrtData
-    conductor: Optional[int]
+    sqrt: SqrtData = field(init=False)
+    conductor: Optional[int] = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.pix.zeta_star_exp != 0:
+        gamma, pix = self.gamma, self.pix
+        if pix.zeta_star_exp != 0:
             raise LucasDensityError(
-                f"{self.gamma} is not in normal form: pass normal_form(gamma), "
+                f"{gamma} is not in normal form: pass normal_form(gamma), "
                 "whose density can differ from the twisted element's"
             )
-        if (self.conductor is None) == (self.gamma.disc_k in (-4, -3)):
+        if pix.gamma_tilde != gamma:
             raise LucasDensityError(
-                f"the profile of {self.gamma} needs a conductor exactly over disc -4 and -3,"
-                f" got {self.conductor}")
+                f"the profile of {gamma} needs its own power index, got that of {pix.gamma_tilde}")
+        root, disc = pix.gamma0, gamma.disc_k
+        object.__setattr__(self, "sqrt", sqrt_data(root))
+        object.__setattr__(self, "conductor", quartic_conductor(root) if disc == -4
+                           else cubic_conductor(root) if disc == -3 else None)
 
     @property
     def h(self) -> int:

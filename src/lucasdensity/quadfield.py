@@ -182,18 +182,28 @@ Target = Union[SequenceContext, QuadElem]
 
 _HALF = Fraction(1, 2)
 
-# (u, v) of the consecutive powers of the generator: i for D = -4, the
-# primitive 6th root (1 + sqrt(-3))/2 for D = -3, -1 in every other field
-_TORSION_COORDS = {
-    -4: ((1, 0), (0, _HALF), (-1, 0), (0, -_HALF)),
-    -3: ((1, 0), (_HALF, _HALF), (-_HALF, _HALF), (-1, 0), (-_HALF, -_HALF), (_HALF, -_HALF)),
+# (label, u, v) of the #mu(K) consecutive powers of the torsion generator: i for
+# D = -4, the primitive 6th root (1 + sqrt(-3))/2 for D = -3, -1 in every other field
+_TORSION = {
+    -4: (("1", 1, 0), ("i", 0, _HALF), ("-1", -1, 0), ("-i", 0, -_HALF)),
+    -3: (("1", 1, 0), ("zeta6", _HALF, _HALF), ("omega", -_HALF, _HALF), ("-1", -1, 0),
+         ("omega^2", -_HALF, -_HALF), ("zeta6^-1", _HALF, -_HALF)),
 }
+_SIGNS = (("1", 1, 0), ("-1", -1, 0))
+
+
+def _torsion(disc_k: int) -> tuple:
+    return _TORSION.get(disc_k, _SIGNS)
 
 
 def torsion_units(disc_k: int) -> list[QuadElem]:
     """The roots of unity of Q(sqrt(disc_k)), as consecutive powers of a generator."""
-    coords = _TORSION_COORDS.get(disc_k, ((1, 0), (-1, 0)))
-    return [QuadElem(disc_k, Fraction(u), Fraction(v)) for u, v in coords]
+    return [QuadElem(disc_k, Fraction(u), Fraction(v)) for _, u, v in _torsion(disc_k)]
+
+
+def zeta_label(disc_k: int, exp: int) -> str:
+    """Display string for the torsion unit of exponent `exp` in the field."""
+    return _torsion(disc_k)[exp][0]
 
 
 def is_torsion(x: QuadElem) -> bool:
@@ -204,6 +214,18 @@ def is_torsion(x: QuadElem) -> bool:
     """
     trace = 2 * x.u
     return trace.denominator == 1 and abs(trace) <= 2 and qf_norm(x) == 1
+
+
+def element_of(target: Target, layer: str) -> QuadElem:
+    """The element a context or element stands for; anything else is refused by name.
+
+    The type half of root_quotient, for callers that test the rest later.
+    """
+    gamma = target.gamma if isinstance(target, SequenceContext) else target
+    if not isinstance(gamma, QuadElem):
+        raise LucasDensityError(
+            f"{layer} needs a sequence context or field element, got {target!r}")
+    return gamma
 
 
 def root_quotient(target: Target, layer: str) -> QuadElem:
@@ -217,10 +239,7 @@ def root_quotient(target: Target, layer: str) -> QuadElem:
     ...
     lucasdensity.errors.LucasDensityError: rank needs a norm-1 element, got 2+0*sqrt(5) of norm 4
     """
-    gamma = target.gamma if isinstance(target, SequenceContext) else target
-    if not isinstance(gamma, QuadElem):
-        raise LucasDensityError(
-            f"{layer} needs a sequence context or field element, got {target!r}")
+    gamma = element_of(target, layer)
     if (norm := qf_norm(gamma)) != 1:
         raise LucasDensityError(f"{layer} needs a norm-1 element, got {gamma} of norm {norm}")
     if is_torsion(gamma):
@@ -277,7 +296,7 @@ def _choose_prime(disc: int, n: int, excluded: int) -> tuple[int, int, int]:
     """(p, g, sylow): a split odd prime p not dividing ``excluded``, with
     g = gcd(n, p-1) as small as the first few candidates allow, and sylow the
     part of p-1 built from the primes of n."""
-    floor = math.gcd(n, 4 if disc == -4 else 6 if disc == -3 else 2)
+    floor = math.gcd(n, len(_torsion(disc)))
     best, seen = None, 0
     for p in filter(is_probable_prime, itertools.count(3, 2)):
         if excluded % p == 0 or jacobi(disc % p, p) != 1:
@@ -361,7 +380,7 @@ def _preferred_root(y: QuadElem, x: QuadElem, n: int) -> QuadElem:
     disc = x.disc_k
     if disc > 0:
         return y if n % 2 or _sigma1_positive(y) else -y
-    nmu = 4 if disc == -4 else 6 if disc == -3 else 2
+    nmu = len(_torsion(disc))
     m = math.gcd(n, nmu)  # the roots are y * zeta**(t*nmu/m), t < m, zeta = e^(2*pi*i/nmu)
     # each step of t moves the rotation index by n/m; step back to the smallest
     t = -(_rotation_index(y, x, n) // (n // m)) % m

@@ -58,12 +58,13 @@ def test_density_torsion_exit_2(capsys):
     assert "invalid input" in err
 
 
-def test_density_norm_validation(capsys):
+@pytest.mark.parametrize("subcommand", ["density", "verify", "explain"])
+def test_density_norm_validation(capsys, subcommand):
     code, _, err = run_cli(
-        capsys, "density", "--gamma", "1", "1", "--radicand", "8", "--d", "2"
+        capsys, subcommand, "--gamma", "1", "1", "--radicand", "8", "--d", "2"
     )
     assert code == 2
-    assert "norm-1" in err
+    assert f"{subcommand} needs a norm-1 element" in err
 
 
 def test_density_rational_gamma_rejected(capsys):

@@ -24,6 +24,7 @@ from lucasdensity.density import (
     DensityResult,
     STerm,
     _pix,
+    _profile,
     _stable_exponents,
     _valuation,
     dispatch,
@@ -174,7 +175,7 @@ def test_profile_caches_stay_bounded():
         if len(elems) == 300:
             break
     profiles = [kummer_profile(g) for g in elems]
-    for cache in (kummer_profile, _pix):
+    for cache in (_profile, _pix):
         info = cache.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize < len(elems)
     assert kummer_profile(elems[-1]) is profiles[-1]  # still cached

@@ -8,9 +8,11 @@ from fractions import Fraction
 import pytest
 
 from lucasdensity.arith import divisors, euler_phi, factorize
-from lucasdensity.density import CASE_GAUSS, dispatch, kummer_profile
+from lucasdensity.density import (CASE_GAUSS, REFERENCE_PROFILES, dispatch, kummer_profile,
+                                  normal_form)
 from lucasdensity.errors import LucasDensityError, ReducibleError
 from lucasdensity.kummer import (
+    KummerProfile,
     _has_rational_root,
     _splits_into_quadratics,
     cubic_conductor,
@@ -24,6 +26,7 @@ from lucasdensity.quadfield import (
     QuadElem,
     disc_and_scale,
     is_nth_power,
+    power_index,
     qf_conj,
     qf_inv,
     qf_mul,
@@ -538,6 +541,25 @@ def test_kummer_degree_gaussian_full_tower():
     assert profile.h == 1
     assert profile.conductor == quartic_conductor(profile.pix.gamma0) == 20
     assert kummer_degree(40, 4, profile) == 16
+
+
+def test_profile_derives_its_square_root_data_and_conductor():
+    gauss = QuadElem(-4, F(-3, 5), F(2, 5))
+    pix = power_index(gauss)
+    profile = KummerProfile(gauss, pix)
+    assert profile == kummer_profile(gauss)
+    assert profile.sqrt == sqrt_data(pix.gamma0) and profile.conductor == 20
+    assert kummer_degree(20, 2, profile) == 8
+    # the derived fields are not arguments
+    other = normal_form(REFERENCE_PROFILES[4].gamma)  # conductor 40
+    with pytest.raises(TypeError):
+        KummerProfile(gauss, pix, sqrt_data(power_index(other).gamma0), 40)
+    with pytest.raises(TypeError):
+        KummerProfile(gauss, pix, conductor=40)
+    # another element's power index would give kummer_degree(20, 2, .) = 16
+    with pytest.raises(LucasDensityError, match=r"^the profile of \(-3\+2\*sqrt\(-4\)\)/5"
+                       r" needs its own power index, got that of"):
+        KummerProfile(gauss, power_index(other))
 
 
 def test_kummer_degree_rejects_non_divisor():

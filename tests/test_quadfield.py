@@ -39,6 +39,7 @@ from lucasdensity.quadfield import (
     qf_pow,
     root_quotient,
     torsion_units,
+    zeta_label,
 )
 from lucasdensity.lucasrank import dump_ranks, empirical_density, rank
 
@@ -58,14 +59,12 @@ from lucasdensity import (DensityResult, EmpiricalReport, LucasDensityError, Qua
 from lucasdensity.density import kummer_profile
 from lucasdensity.kummer import (KummerProfile, _membership, cubic_conductor, quartic_conductor,
                                  sqrt_data)
-fib, gauss = make_context(1, -1).gamma, QuadElem(-4, Fraction(-3, 5), Fraction(2, 5))
+fib = make_context(1, -1).gamma
 calls = [lambda disc=disc: dispatch(QuadElem(disc, 1, 1), 2) for disc in (7, 0, 9, 4)]
 calls.append(lambda: power_index(QuadElem(5, 2, 0)))
 calls.append(lambda: dispatch(QuadElem(20, Fraction(-3, 2), Fraction(-1, 4)), 2))
 calls.append(lambda: STerm(2, 1, 1, 0, Fraction(1), Fraction(1)))
-calls.append(lambda: KummerProfile(fib, power_index(fib),
-                                   sqrt_data(QuadElem(5, Fraction(3, 2), Fraction(1, 2))), None))
-calls.append(lambda: KummerProfile(gauss, power_index(gauss), sqrt_data(gauss), None))
+calls.append(lambda: KummerProfile(fib, power_index(fib)))
 calls.append(lambda: _membership(5, 10, kummer_profile(QuadElem(5, Fraction(3, 2), Fraction(1, 2)))))
 calls.append(lambda: DensityResult(Fraction(1), Fraction(1), "t", (), {}))
 calls.append(lambda: EmpiricalReport(2, 10, 3, 4, 5))
@@ -109,8 +108,6 @@ def test_quad_elem_validation_survives_optimize_flag():
         "LucasDensityError STerm.nu must be a positive int, got 0",
         "LucasDensityError (-3-1*sqrt(5))/2 is not in normal form: pass normal_form(gamma),"
         " whose density can differ from the twisted element's",
-        "LucasDensityError the profile of (-3+2*sqrt(-4))/5 needs a conductor exactly over"
-        " disc -4 and -3, got None",
         "LucasDensityError no twisted-root membership test for m=5",
         "LucasDensityError DensityResult.delta=2 is outside [0, 1]",
         "LucasDensityError EmpiricalReport needs 0 <= counted_plus=4 <= counted=3"
@@ -172,7 +169,7 @@ def test_power_index_rejects_bad_inputs_with_typed_errors():
         power_index(QuadElem(20, F(-3, 2), F(-1, 4)))
 
 
-_NON_TARGETS = [5, "x", QuadElem(5, 2, 0), QuadElem(5, 3, 1), QuadElem(-4, 0, F(1, 2))]
+_NON_TARGETS = [5, "x", [1], QuadElem(5, 2, 0), QuadElem(5, 3, 1), QuadElem(-4, 0, F(1, 2))]
 
 
 @pytest.mark.parametrize("target", _NON_TARGETS, ids=str)
@@ -358,6 +355,15 @@ def test_torsion_units_orders():
     z6 = torsion_units(-3)[1]
     assert qf_pow(z6, 6) == qf_one(-3)
     assert qf_pow(z6, 3) == -qf_one(-3)
+
+
+def test_zeta_labels_name_the_torsion_units():
+    assert [zeta_label(-4, j) for j in range(4)] == ["1", "i", "-1", "-i"]
+    assert [zeta_label(-3, j) for j in range(6)] == [
+        "1", "zeta6", "omega", "-1", "omega^2", "zeta6^-1"]
+    for disc in (5, -15, -4, -3):
+        labels = [zeta_label(disc, j) for j in range(len(torsion_units(disc)))]
+        assert torsion_units(disc)[labels.index("-1")] == -qf_one(disc)
 
 
 def loop_torsion_units(disc_k):
