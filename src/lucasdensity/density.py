@@ -3,10 +3,12 @@
 Everything here is exact rational arithmetic: the closed-form S sums, the
 per-case density formulas, the recursive dispatcher over the torsion twist of
 the root quotient, and an independent oracle that sums the defining
-degree/fixed-point series exactly, in finitely many terms.  No floats anywhere.
+degree/fixed-point series exactly, in finitely many terms.  No floats anywhere:
+sums are integer numerators over a running lcm (_lcm_sum), and only returned
+values are Fractions.
 
 The case layer has three pieces.  _normal picks, by field and by d, the term
-rows (e, nu, coeff_plus, coeff_minus) of a normal form: the density is
+rows (e, nu, 2 * coeff_plus, 2 * coeff_minus) of a normal form: the density is
 sum (coeff_plus + coeff_minus) * S_{d,e,h}(nu), and delta_plus and delta_minus
 (split and inert primes) are the sums with one weight each.  The trace lists
 every nonzero S value with its total weight.  _hi_twist rescales _normal for a
@@ -70,6 +72,17 @@ CASE_ODD_GENERIC = "ODD_GENERIC"
 # value objects
 
 
+def _lcm_sum(pairs) -> tuple[int, int]:
+    """sum of a / b over the int pairs (a, b), b >= 1, as (numerator, lcm of the b)."""
+    num, den = 0, 1
+    for a, b in pairs:
+        if den % b:
+            step = math.lcm(den, b)
+            num, den = num * (step // den), step
+        num += a * (den // b)
+    return num, den
+
+
 @dataclass(frozen=True)
 class STerm:
     """One evaluated S sum together with its multiplier in the density."""
@@ -118,15 +131,22 @@ class DensityResult:
     inputs_echo: dict
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "delta", self.delta_plus + self.delta_minus)
-        if not 0 <= self.delta <= 1:
-            raise LucasDensityError(f"DensityResult.delta={self.delta} is outside [0, 1]")
         for name in ("delta_plus", "delta_minus"):
-            if getattr(self, name) < 0:
+            val = getattr(self, name)
+            if isinstance(val, bool) or not isinstance(val, (int, Fraction)):
+                raise LucasDensityError(
+                    f"DensityResult.{name} must be an int or a Fraction, got {val!r}")
+        delta = self.delta_plus + self.delta_minus
+        object.__setattr__(self, "delta", delta)
+        if not 0 <= delta.numerator <= delta.denominator:
+            raise LucasDensityError(f"DensityResult.delta={delta} is outside [0, 1]")
+        for name in ("delta_plus", "delta_minus"):
+            if getattr(self, name).numerator < 0:
                 raise LucasDensityError(f"DensityResult.{name}={getattr(self, name)} is negative")
-        if sum((t.contribution for t in self.trace), Fraction(0)) != self.delta:
-            raise LucasDensityError(
-                f"DensityResult.trace does not reproduce delta={self.delta}")
+        num, den = _lcm_sum((t.coefficient.numerator * t.value.numerator,
+                             t.coefficient.denominator * t.value.denominator) for t in self.trace)
+        if num * delta.denominator != delta.numerator * den:
+            raise LucasDensityError(f"DensityResult.trace does not reproduce delta={delta}")
 
 
 # ---------------------------------------------------------------------------
@@ -144,15 +164,17 @@ def s_eval(d: int, e: int, h: int, nu: int = 1) -> Fraction:
         return Fraction(0)
     big_d = d // gcd_power_infinity(d, nu)
     h_d = gcd_power_infinity(h, big_d)
-    out = Fraction(
-        gcd_power_infinity(h, d) * nu,
-        d * euler_phi(nu) * math.lcm(e, nu * h_d) ** 2,
-    )
+    num = gcd_power_infinity(h, d) * nu
+    den = d * euler_phi(nu) * math.lcm(e, nu * h_d) ** 2
+    g2 = math.gcd(e, nu) ** 2
     for p in prime_factors(nu):
-        out *= 1 - Fraction(math.gcd(p * e, nu) ** 2, p * math.gcd(e, nu) ** 2)
+        # the factor 1 - gcd(p * e, nu)^2 / (p * gcd(e, nu)^2)
+        num *= p * g2 - math.gcd(p * e, nu) ** 2
+        den *= p * g2
     for p in prime_factors(d):
-        out *= Fraction(p * p, p * p - 1)
-    return out
+        num *= p * p
+        den *= p * p - 1
+    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -263,35 +285,27 @@ def series_oracle(target: Target, d: int) -> Fraction:
 
 
 def _series(profile: KummerProfile, d: int) -> Fraction:
-    # (v, w): w = prod over live p of p^2 if a_p = T_p else p^2 - 1, so the
-    # weight of v is w / scale
-    vs, scale, live = [(1, 1)], 1, 1
-    euler = Fraction(1)
+    # (v, w): w = prod over live p of p^2 if a_p = T_p else p^2 - 1; scale
+    # holds prod (p^2 - 1) and, with euler, the factors p / (p + 1)
+    vs, euler, scale, live = [(1, 1)], 1, 1, 1
     for p, top in _stable_exponents(profile, d):
         if top == 0:
-            euler *= Fraction(p, p + 1)
+            euler *= p
+            scale *= p + 1
             continue
         live *= p
         scale *= p * p - 1
         vs = [(v * p ** a, w * (p * p if a == top else p * p - 1))
               for v, w in vs for a in range(top + 1)]
     sq_free = [(u, mu) for u in divisors(live) if (mu := moebius(u))]
-
-    num, den = 0, 1
-    for v, w in vs:
-        for u, mu in sq_free:
-            deg = kummer_degree(d * v, u * v, profile)
-            hit = 1 + sigma_exists(d * v, u * v, profile)
-            step = math.lcm(den, deg)
-            num, den = num * (step // den) + mu * hit * w * (step // deg), step
-    return euler * Fraction(num, den * scale)
+    num, den = _lcm_sum((mu * (1 + sigma_exists(d * v, u * v, profile)) * w,
+                         kummer_degree(d * v, u * v, profile))
+                        for v, w in vs for u, mu in sq_free)
+    return Fraction(euler * num, scale * den)
 
 
 # ---------------------------------------------------------------------------
 # case formulas
-
-
-_HALF = Fraction(1, 2)
 
 
 def _hat(n: int, d: int) -> int:
@@ -316,12 +330,12 @@ def _echo_base(profile: KummerProfile, **extra) -> dict:
 
 
 def _normal(d: int, profile: KummerProfile) -> DensityResult:
-    """Density of a normal form at d, from its term rows (e, nu, coeff_plus, coeff_minus).
+    """Density of a normal form at d, from its term rows (e, nu, 2 * c_plus, 2 * c_minus).
 
-    The density is sum (coeff_plus + coeff_minus) * S_{d,e,h}(nu); delta_plus
-    and delta_minus are the sums with one weight each, and the trace lists
-    every nonzero S value with its total weight.  The odd-generic case is
-    certified against the series sum on every call.
+    The density is sum (c_plus + c_minus) * S_{d,e,h}(nu), each weight a
+    multiple of 1/2; delta_plus and delta_minus are the sums with one weight
+    each, and the trace lists every nonzero S value with its total weight.
+    The odd-generic case is certified against the series sum on every call.
     """
     disc, h, sq = profile.gamma.disc_k, profile.h, profile.sqrt
     h2 = gcd_power_infinity(h, 2)
@@ -330,49 +344,47 @@ def _normal(d: int, profile: KummerProfile) -> DensityResult:
         f_hat = _hat(profile.conductor, d)
         ell = math.lcm(e_min, f_hat)
         lead = 2 if d % 3 == 0 else 1
-        half = Fraction(lead, 2)
-        rows = [(1, 1, half, half), (e_min, 2 * h2, half, half),
-                (f_hat, 3 * gcd_power_infinity(h, 3), lead, lead),
-                (ell, 6 * gcd_power_infinity(h, 6), lead, lead)]
+        rows = [(1, 1, lead, lead), (e_min, 2 * h2, lead, lead),
+                (f_hat, 3 * gcd_power_infinity(h, 3), 2 * lead, 2 * lead),
+                (ell, 6 * gcd_power_infinity(h, 6), 2 * lead, 2 * lead)]
         tag, extra = CASE_EISEN, {"e_min": e_min, "f_hat": f_hat, "ell": ell}
     elif d % 2:  # coprime to 6 over the Eisenstein field
         if disc in (-3, -4):
-            e, rows = 1, [(1, 1, _HALF, _HALF)]
+            e, rows = 1, [(1, 1, 1, 1)]
         else:
             e = _hat(disc, d)
-            rows = [(1, 1, _HALF, _HALF), (e, 1, _HALF, _HALF if disc < 0 else -_HALF)]
+            rows = [(1, 1, 1, 1), (e, 1, 1, 1 if disc < 0 else -1)]
         tag, extra = CASE_ODD_GENERIC, {"e": e}
     elif not sq.q_flag:  # real field, fundamental-unit square root of norm -1
         e = _hat(disc, d)
         # the twisted sum enters the minus part only when (h, 2^inf) does not divide e
-        twisted_minus = -Fraction(3, 2) if e % h2 else 0
-        rows = [(1, 1, _HALF, Fraction(3, 2)), (e, 1, _HALF, twisted_minus)]
+        rows = [(1, 1, 1, 3), (e, 1, 1, -3 if e % h2 else 0)]
         tag, extra = CASE_Q0, {"e": e}
     else:  # norm-one square root: Gaussian, other imaginary or real field
         e, e1, e2 = _hat(disc, d), _hat(sq.delta1, d), _hat(sq.delta2, d)
         if disc > 0:
             # the sign of c decides which square-root term the inert primes take
-            half_sign = -_HALF if sq.c_positive else _HALF
-            tag, minus = CASE_Q1_REAL, (_HALF, -_HALF, half_sign, -half_sign)
+            sign = -1 if sq.c_positive else 1
+            tag, minus = CASE_Q1_REAL, (1, -1, sign, -sign)
         else:
-            tag, minus = CASE_Q1_IMAG, (_HALF,) * 4
-        rows = [(1, 1, _HALF, minus[0]), (e, 1, _HALF, minus[1]),
-                (e1, 2 * h2, _HALF, minus[2]), (e2, 2 * h2, _HALF, minus[3])]
+            tag, minus = CASE_Q1_IMAG, (1,) * 4
+        rows = [(1, 1, 1, minus[0]), (e, 1, 1, minus[1]),
+                (e1, 2 * h2, 1, minus[2]), (e2, 2 * h2, 1, minus[3])]
         extra = {"e": e, "e1": e1, "e2": e2}
         if disc == -4:
             f_hat = _hat(profile.conductor, d)
-            rows.append((f_hat, 4 * h2, 2, 2))
+            rows.append((f_hat, 4 * h2, 4, 4))
             tag, extra["f_hat"] = CASE_GAUSS, f_hat
 
-    dplus = dminus = Fraction(0)
-    trace = []
+    plus, minus, trace = [], [], []
     for e_row, nu, c_plus, c_minus in rows:
         value = s_eval(d, e_row, h, nu)
         if value:
-            dplus += c_plus * value
-            dminus += c_minus * value
-            trace.append(STerm(d, e_row, h, nu, Fraction(c_plus + c_minus), value))
-    result = DensityResult(dplus, dminus, tag, tuple(trace), _echo_base(profile, **extra))
+            plus.append((c_plus * value.numerator, 2 * value.denominator))
+            minus.append((c_minus * value.numerator, 2 * value.denominator))
+            trace.append(STerm(d, e_row, h, nu, Fraction(c_plus + c_minus, 2), value))
+    result = DensityResult(Fraction(*_lcm_sum(plus)), Fraction(*_lcm_sum(minus)), tag,
+                           tuple(trace), _echo_base(profile, **extra))
     if tag == CASE_ODD_GENERIC:
         series = _series(profile, d)
         if series != result.delta:
@@ -410,11 +422,12 @@ def _hi_twist(d: int, twisted: QuadElem, echo_extra: dict) -> DensityResult:
         m += int(sqrt_mult * rest % abs(profile.sqrt.delta1) == 0)
     h_q = gcd_power_infinity(profile.h, q)
     if k == 0:
-        scale = Fraction(1)
+        terms = [(1, 1)]
     elif k <= big_k:
-        scale = 1 - Fraction(q**k, c * q ** (m + big_k) * h_q)
+        terms = [(1, 1), (-(q**k), c * q ** (m + big_k) * h_q)]
     else:
-        scale = Fraction(q ** (big_k + 1), c * q ** (k + m) * h_q)
+        terms = [(q ** (big_k + 1), c * q ** (k + m) * h_q)]
+    scale = Fraction(*_lcm_sum(terms))
     inner = _normal(rest, profile)
     half = inner.delta * scale / 2
     echo = _echo_base(profile, k=k, **{key: rest}, m=m, scale=scale, **echo_extra)
@@ -442,21 +455,22 @@ def _dispatch(gamma: QuadElem, d: int) -> DensityResult:
         # trivially every rank is divisible by 1; no normalization needed
         trace = (STerm(1, 1, pix.table[0], 1, Fraction(1), Fraction(1)),)
         echo = {"h": pix.h, "zeta_star": zeta_label(disc, j), "d": 1}
-        return DensityResult(_HALF, _HALF, CASE_ODD_GENERIC, trace, echo)
+        return DensityResult(Fraction(1, 2), Fraction(1, 2), CASE_ODD_GENERIC, trace, echo)
 
     order = n_mu // math.gcd(j, n_mu)
     if order in (2, 6):
         # -1 or a primitive sixth root: the sign-switched element, with
         # inclusion-exclusion over d/2, d and 2d when 2 || d
-        split = d % 4 == 2
-        parts = [(c, _dispatch(-gamma, dd))
+        split, switched = d % 4 == 2, -gamma
+        parts = [(c, _dispatch(switched, dd))
                  for c, dd in ([(1, 2 * d), (1, d // 2), (-1, d)] if split else [(1, d)])]
-        dplus = sum((c * r.delta_plus for c, r in parts), Fraction(0))
-        dminus = sum((c * r.delta_minus for c, r in parts), Fraction(0))
+        plus = _lcm_sum((c * r.delta_plus.numerator, r.delta_plus.denominator) for c, r in parts)
+        minus = _lcm_sum((c * r.delta_minus.numerator, r.delta_minus.denominator)
+                         for c, r in parts)
         trace = tuple(t for c, r in parts for t in _scaled(r, Fraction(c)))
         echo = {"h": pix.h, "zeta_star": zeta_label(disc, j), "v2_split": split,
                 "components": tuple((c, r.case_tag) for c, r in parts)}
-        return DensityResult(dplus, dminus, CASE_SWITCH, trace, echo)
+        return DensityResult(Fraction(*plus), Fraction(*minus), CASE_SWITCH, trace, echo)
 
     # a primitive fourth (Gaussian) or cube (Eisenstein) root of unity
     conjugated = 2 * j > n_mu

@@ -56,6 +56,12 @@ class QuadElem:
         if d > 0 and math.isqrt(d) ** 2 == d:
             raise LucasDensityError(f"square discriminant: {d}")
 
+    def __hash__(self) -> int:
+        # dataclass's hash, once per element (two Fraction hashes) and outside the fields
+        if "_hash" not in self.__dict__:
+            object.__setattr__(self, "_hash", hash((self.disc_k, self.u, self.v)))
+        return self.__dict__["_hash"]
+
     def __neg__(self) -> "QuadElem":
         return QuadElem(self.disc_k, -self.u, -self.v)
 

@@ -1,20 +1,24 @@
-"""Independent brute-force references used by the test suite.
+"""Independent references used by the test suite.
 
-These deliberately avoid the closed forms in the package: the S-sum oracle
-enumerates the defining double sum term by term, each exponent of v up to
-the point past which the terms form a geometric series, the naive rank
+Most of these deliberately avoid the closed forms in the package: the S-sum
+oracle enumerates the defining double sum term by term, each exponent of v up
+to the point past which the terms form a geometric series, the naive rank
 oracle walks the recurrence one index at a time, the support-exponent oracle
 reads each valuation off a p-adic square root of the discriminant instead of
 off the denominator, and the conductor oracles compute the discriminant of a
 defining polynomial by round two instead of reading the ramified primes off
-the root.
+the root.  fraction_s_eval is the S closed form itself, multiplied out one
+Fraction factor at a time: the reference for the package's integer form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from lucasdensity.arith import divisors, euler_phi, factorize, jacobi, moebius, prime_factors
+from lucasdensity.arith import (divides_power_infinity, divisors, euler_phi, factorize,
+                                gcd_power_infinity, jacobi, moebius, prime_factors,
+                                validate_positive)
+from lucasdensity.errors import HypothesisError
 from lucasdensity.kummer import poly_field_disc, sqrt_data
 from lucasdensity.quadfield import QuadElem, _lift_root, _roots_mod_prime
 
@@ -48,6 +52,28 @@ def brute_s_sum(d: int, e: int, h: int, nu: int) -> Fraction:
                 continue
             total += w * Fraction(moebius(u) * math.gcd(u * v, h), phi_dv * u * v)
     return total
+
+
+def fraction_s_eval(d: int, e: int, h: int, nu: int = 1) -> Fraction:
+    """Closed form of the inner density sum S_{d,e,h}(nu)."""
+    validate_positive(d=d, e=e, h=h, nu=nu)
+    if nu % gcd_power_infinity(h, nu):
+        raise HypothesisError(
+            f"s_eval({d},{e},{h},{nu}): ({h},{nu}^inf) does not divide {nu}"
+        )
+    if not (divides_power_infinity(e, d) and divides_power_infinity(nu, d)):
+        return Fraction(0)
+    big_d = d // gcd_power_infinity(d, nu)
+    h_d = gcd_power_infinity(h, big_d)
+    out = Fraction(
+        gcd_power_infinity(h, d) * nu,
+        d * euler_phi(nu) * math.lcm(e, nu * h_d) ** 2,
+    )
+    for p in prime_factors(nu):
+        out *= 1 - Fraction(math.gcd(p * e, nu) ** 2, p * math.gcd(e, nu) ** 2)
+    for p in prime_factors(d):
+        out *= Fraction(p * p, p * p - 1)
+    return out
 
 
 def naive_rank(p: int, a1: int, a2: int, bound: int | None = None) -> int:

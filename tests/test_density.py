@@ -57,7 +57,7 @@ from lucasdensity.quadfield import (
 def qf_neg(x: QuadElem) -> QuadElem:
     return QuadElem(x.disc_k, -x.u, -x.v)
 
-from oracles import brute_s_sum
+from oracles import brute_s_sum, fraction_s_eval
 from test_golden import _canonical
 
 F = Fraction
@@ -118,6 +118,41 @@ def test_s_eval_matches_brute_series():
         assert closed == brute_s_sum(d, e, h, nu), (d, e, h, nu)
         checked += 1
     assert checked >= 25
+
+
+_S_GRID_E = (1, 2, 3, 4, 5, 6, 8, 9, 12, 16)
+_S_GRID_H = (1, 2, 3, 4, 6, 8, 12, 16, 24)
+_S_GRID_NU = (1, 2, 3, 4, 6, 8, 12)
+
+
+def test_s_eval_integer_form_equals_the_fraction_product():
+    checked = 0
+    for d in range(1, 121):
+        for e in _S_GRID_E:
+            for h in _S_GRID_H:
+                for nu in _S_GRID_NU:
+                    if nu % gcd_power_infinity(h, nu):
+                        continue
+                    closed = s_eval(d, e, h, nu)
+                    assert type(closed) is Fraction
+                    assert closed == fraction_s_eval(d, e, h, nu), (d, e, h, nu)
+                    checked += 1
+    assert checked == 55200
+
+
+def test_s_eval_matches_brute_series_up_to_the_bench_d_max():
+    rng = random.Random(60)
+    checked, past_40 = 0, 0
+    for _ in range(200):
+        d = rng.randint(1, 60)
+        e, h, nu = rng.choice(_S_GRID_E), rng.choice(_S_GRID_H), rng.choice(_S_GRID_NU)
+        if nu % gcd_power_infinity(h, nu):
+            continue
+        closed = s_eval(d, e, h, nu)
+        assert closed == brute_s_sum(d, e, h, nu), (d, e, h, nu)
+        checked += 1
+        past_40 += d > 40 and closed != 0
+    assert checked >= 120 and past_40 >= 10
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +329,30 @@ def test_result_derives_delta_from_its_split():
         DensityResult(Fraction(1, 2), Fraction(-1, 8), "t", (term,), {})
     with pytest.raises(LucasDensityError, match="trace does not reproduce delta=3/8"):
         DensityResult(Fraction(1, 4), Fraction(1, 8), "t", (), {})
+
+
+# the near miss is also in test_quadfield._OPTIMIZED_CHECK
+def test_result_trace_check_is_exact_over_mixed_denominators():
+    # 1/3 + 1/24 = 3/8: the terms' denominators differ from delta's and from each other
+    mixed = (STerm(1, 1, 1, 1, Fraction(1, 3), Fraction(1)),
+             STerm(1, 1, 1, 1, Fraction(1, 8), Fraction(1, 3)))
+    assert DensityResult(Fraction(1, 4), Fraction(1, 8), "t", mixed, {}).delta == Fraction(3, 8)
+    near = Fraction(3, 8) - Fraction(1, 3 * 2**61)
+    with pytest.raises(LucasDensityError, match="trace does not reproduce delta=3/8"):
+        DensityResult(Fraction(1, 4), Fraction(1, 8), "t",
+                      (STerm(1, 1, 1, 1, Fraction(1), near),), {})
+
+
+# the float split is also in test_quadfield._OPTIMIZED_CHECK
+@pytest.mark.parametrize("bad, shown", [(0.25, r"0\.25"), (True, "True"), (False, "False"),
+                                        ("1/4", "'1/4'"), (None, "None")])
+def test_result_refuses_a_split_that_is_not_an_int_or_fraction(bad, shown):
+    term = STerm(1, 1, 1, 1, Fraction(3, 8), Fraction(1))
+    for split, name in (((bad, Fraction(1, 8)), "plus"), ((Fraction(1, 4), bad), "minus")):
+        with pytest.raises(LucasDensityError, match=rf"^DensityResult\.delta_{name} must be"
+                           rf" an int or a Fraction, got {shown}$"):
+            DensityResult(*split, "t", (term,), {})
+    assert DensityResult(0, Fraction(3, 8), "t", (term,), {}).delta == Fraction(3, 8)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
+import copy
+import dataclasses
 import hashlib
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -82,6 +85,10 @@ calls.append(lambda: make_context(True, -1))
 calls.append(lambda: QuadElem("5", 1, 1))
 calls.append(lambda: QuadElem(5.0, 1, 1))
 calls.append(lambda: QuadElem(5, "a", 1))
+one = STerm(1, 1, 1, 1, Fraction(3, 8), Fraction(1))
+calls.append(lambda: DensityResult(0.25, 0.125, "t", (one,), {}))
+near = STerm(1, 1, 1, 1, Fraction(1), Fraction(3, 8) - Fraction(1, 3 * 2**61))
+calls.append(lambda: DensityResult(Fraction(1, 4), Fraction(1, 8), "t", (near,), {}))
 for call in calls:
     try:
         call()
@@ -129,6 +136,8 @@ def test_quad_elem_validation_survives_optimize_flag():
         "LucasDensityError disc_k must be an integer, got '5'",
         "LucasDensityError disc_k must be an integer, got 5.0",
         "LucasDensityError QuadElem.u must be an int or a Fraction, got 'a'",
+        "LucasDensityError DensityResult.delta_plus must be an int or a Fraction, got 0.25",
+        "LucasDensityError DensityResult.trace does not reproduce delta=3/8",
     ]
 
 
@@ -214,6 +223,19 @@ def test_quad_elem_ascii_form():
     assert str(QuadElem(29, F(-27, 2), F(-5, 2))) == "(-27-5*sqrt(29))/2"
     assert str(QuadElem(-4, F(-3, 5), F(0))) == "(-3+0*sqrt(-4))/5"
     assert str(QuadElem(-3, F(1, 2), F(-1, 6))) == "(3-1*sqrt(-3))/6"
+
+
+def test_quad_elem_hash_is_computed_once_and_kept_by_value():
+    a, b = QuadElem(5, 1, 0), QuadElem(5, F(1), F(0))
+    assert a == b and hash(a) == hash(b) == hash((5, F(1), F(0)))
+    assert {a: "found"}[QuadElem(5, 1, 0)] == "found"
+    g = QuadElem(-3, F(-13, 14), F(3, 14))
+    before = hash(g)
+    for twin in (copy.copy(g), pickle.loads(pickle.dumps(g))):
+        assert twin == g and hash(twin) == before
+    assert hash(pickle.loads(pickle.dumps(QuadElem(-3, F(-13, 14), F(3, 14))))) == before
+    assert tuple(f.name for f in dataclasses.fields(QuadElem)) == ("disc_k", "u", "v")
+    assert repr(g) == "QuadElem(disc_k=-3, u=Fraction(-13, 14), v=Fraction(3, 14))"
 
 
 # "5", 5.0 and "a" are in _OPTIMIZED_CHECK
