@@ -27,7 +27,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .arith import (
     divides_power_infinity,
@@ -55,8 +55,6 @@ from .quadfield import (
     qf_conj,
     zeta_label,
 )
-
-Rat = Union[Fraction, int]
 
 CASE_Q0 = "Q0"
 CASE_Q1_REAL = "Q1_real"
@@ -245,18 +243,11 @@ def _valuation(n: int, p: int) -> int:
 
 
 def _stable_exponents(profile: KummerProfile, d: int) -> list[tuple[int, int]]:
-    """(p, T_p) for each prime p | d, where T_p = max v_p over the fixed integers.
+    """(p, T_p) for each prime p | d, where T_p = max v_p over profile.fixed.
 
-    The fixed integers are 16h, 27h, disc_k, delta1, delta2, the conductor and
-    #mu(K); T_p = 0 marks a prime that divides none of them.
+    T_p = 0 marks a prime that divides none of the fixed integers.
     """
-    pix, sq = profile.pix, profile.sqrt
-    fixed = [16 * pix.h, 27 * pix.h, profile.gamma.disc_k, len(pix.table)]
-    if sq.q_flag:
-        fixed += [sq.delta1, sq.delta2]
-    if profile.conductor is not None:
-        fixed.append(profile.conductor)
-    return [(p, max(_valuation(x, p) for x in fixed)) for p in prime_factors(d)]
+    return [(p, max(_valuation(x, p) for x in profile.fixed)) for p in prime_factors(d)]
 
 
 def series_oracle(target: Target, d: int) -> Fraction:
@@ -266,11 +257,8 @@ def series_oracle(target: Target, d: int) -> Fraction:
     (Moree and Stevenhagen's Kummer-degree summation).  Every prime of v
     divides d, so phi(dv) = phi(d) * v and the degree is v^2 times a factor that
     sees v only through the tests in kummer_degree, _membership and
-    sigma_exists.  Those compare dv and uv with fixed integers: disc_k, delta1,
-    delta2, the conductor, #mu(K), gcd(uv, h), and m * h_m for m | #mu(K), where
-    h_m is the m-smooth part of h.  As v_2(4 * h_4) = 2 + v_2(h) and
-    v_3(6 * h_6) = 1 + v_3(h), the set holds 16h and 27h (h, 16 and 27 apart
-    would miss the t-test for v_2(h) >= 3).  Once a_p = v_p(v) reaches
+    sigma_exists.  Those compare dv and uv with the profile's fixed integers
+    (KummerProfile.fixed says why that set).  Once a_p = v_p(v) reaches
     T_p = max v_p over the set, no outcome changes and each further step
     divides the term by p^2: a_p runs over 0..T_p, the top value weighted
     p^2 / (p^2 - 1).  A prime p | d with T_p = 0 never changes a test; its sum
@@ -511,19 +499,15 @@ class ProfileExpectation:
     conductor: Optional[int]
 
 
-def _q(disc: int, u: Rat, v: Rat) -> QuadElem:
-    return QuadElem(disc, Fraction(u), Fraction(v))
-
-
-_G_T1R1 = _q(8, 3, 1)
-_G_T1R2 = _q(29, Fraction(-27, 2), Fraction(-5, 2))
-_G_T1R3 = _q(-15, Fraction(17, 32), Fraction(7, 32))
-_G_T2R1 = _q(-4, Fraction(-3, 5), Fraction(2, 5))
-_G_T2R2 = _q(-4, Fraction(24, 25), Fraction(7, 50))
-_G_T2R3 = _q(-4, Fraction(-120, 169), Fraction(-119, 338))
-_G_T3R1 = _q(-3, Fraction(-13, 14), Fraction(3, 14))
-_G_T3R2 = _q(-3, Fraction(683, 686), Fraction(37, 686))
-_G_T3R3 = _q(-3, Fraction(1031, 1369), Fraction(-520, 1369))
+_G_T1R1 = QuadElem(8, 3, 1)
+_G_T1R2 = QuadElem(29, Fraction(-27, 2), Fraction(-5, 2))
+_G_T1R3 = QuadElem(-15, Fraction(17, 32), Fraction(7, 32))
+_G_T2R1 = QuadElem(-4, Fraction(-3, 5), Fraction(2, 5))
+_G_T2R2 = QuadElem(-4, Fraction(24, 25), Fraction(7, 50))
+_G_T2R3 = QuadElem(-4, Fraction(-120, 169), Fraction(-119, 338))
+_G_T3R1 = QuadElem(-3, Fraction(-13, 14), Fraction(3, 14))
+_G_T3R2 = QuadElem(-3, Fraction(683, 686), Fraction(37, 686))
+_G_T3R3 = QuadElem(-3, Fraction(1031, 1369), Fraction(-520, 1369))
 
 _ANNOT_26 = (
     "the source table prints 661/8064 here, but its own decimal column "
@@ -552,13 +536,13 @@ REFERENCE_ROWS: tuple = (
 )
 
 REFERENCE_PROFILES: tuple = (
-    ProfileExpectation(_G_T1R1, 2, 0, _q(8, 1, Fraction(1, 2)), 0, None),
-    ProfileExpectation(_G_T1R2, 2, 1, _q(29, Fraction(5, 2), Fraction(1, 2)), 0, None),
-    ProfileExpectation(_G_T1R3, 4, 0, _q(-15, Fraction(1, 4), Fraction(-1, 4)), 1, None),
+    ProfileExpectation(_G_T1R1, 2, 0, QuadElem(8, 1, Fraction(1, 2)), 0, None),
+    ProfileExpectation(_G_T1R2, 2, 1, QuadElem(29, Fraction(5, 2), Fraction(1, 2)), 0, None),
+    ProfileExpectation(_G_T1R3, 4, 0, QuadElem(-15, Fraction(1, 4), Fraction(-1, 4)), 1, None),
     ProfileExpectation(_G_T2R1, 1, 0, _G_T2R1, 1, 20),
-    ProfileExpectation(_G_T2R2, 2, 1, _q(-4, Fraction(3, 5), Fraction(2, 5)), 1, 40),
-    ProfileExpectation(_G_T2R3, 2, 1, _q(-4, Fraction(12, 13), Fraction(-5, 26)), 1, 208),
+    ProfileExpectation(_G_T2R2, 2, 1, QuadElem(-4, Fraction(3, 5), Fraction(2, 5)), 1, 40),
+    ProfileExpectation(_G_T2R3, 2, 1, QuadElem(-4, Fraction(12, 13), Fraction(-5, 26)), 1, 208),
     ProfileExpectation(_G_T3R1, 1, 0, _G_T3R1, 1, 7),
-    ProfileExpectation(_G_T3R2, 3, 4, _q(-3, Fraction(1, 7), Fraction(4, 7)), 1, 63),
-    ProfileExpectation(_G_T3R3, 2, 3, _q(-3, Fraction(13, 37), Fraction(20, 37)), 1, 333),
+    ProfileExpectation(_G_T3R2, 3, 4, QuadElem(-3, Fraction(1, 7), Fraction(4, 7)), 1, 63),
+    ProfileExpectation(_G_T3R3, 2, 3, QuadElem(-3, Fraction(13, 37), Fraction(20, 37)), 1, 333),
 )

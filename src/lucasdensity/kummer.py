@@ -438,12 +438,19 @@ class KummerProfile:
     (disc -4) or cubic (disc -3) conductor and None elsewhere.  The constructor
     refuses a gamma that is not a normal form (zeta* = 1, so h = h(1)) and the
     pix of another element; kummer_degree, sigma_exists and _membership rely on both.
+
+    ``fixed`` holds the integers those tests compare dv and uv with: disc_k,
+    delta1 and delta2 (when q_flag), the conductor, #mu(K), and 16h and 27h for
+    gcd(uv, h) and m * h_m, m | #mu(K), h_m the m-smooth part of h.  As
+    v_2(4 * h_4) = 2 + v_2(h) and v_3(6 * h_6) = 1 + v_3(h), h, 16 and 27
+    apart would miss the t-test for v_2(h) >= 3.
     """
 
     gamma: QuadElem
     pix: PowerIndexData
     sqrt: SqrtData = field(init=False)
     conductor: Optional[int] = field(init=False)
+    fixed: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         gamma, pix = self.gamma, self.pix
@@ -455,10 +462,13 @@ class KummerProfile:
         if pix.gamma_tilde != gamma:
             raise LucasDensityError(
                 f"the profile of {gamma} needs its own power index, got that of {pix.gamma_tilde}")
-        root, disc = pix.gamma0, gamma.disc_k
-        object.__setattr__(self, "sqrt", sqrt_data(root))
-        object.__setattr__(self, "conductor", quartic_conductor(root) if disc == -4
-                           else cubic_conductor(root) if disc == -3 else None)
+        root, disc, sq = pix.gamma0, gamma.disc_k, sqrt_data(pix.gamma0)
+        conductor = (quartic_conductor(root) if disc == -4
+                     else cubic_conductor(root) if disc == -3 else None)
+        fixed = (16 * pix.h, 27 * pix.h, disc, len(pix.table), sq.delta1, sq.delta2, conductor)
+        object.__setattr__(self, "sqrt", sq)
+        object.__setattr__(self, "conductor", conductor)
+        object.__setattr__(self, "fixed", tuple(x for x in fixed if x is not None))
 
     @property
     def h(self) -> int:

@@ -15,10 +15,9 @@ its q-part cut down to q^(k-1).
 The counter needs only the primes.  They come from spf_sieve, the package's one
 source of primes: a sieve of Eratosthenes over the odd numbers that keeps its
 last sieve, so counts at one x share it.  The counter works on a chunk of them
-at a time in numpy int64.  The primes of
-the excluded locus (2*a2*Delta, or 2*D times the element's denominators and the
-numerator of its v) drop out by one residue test per chunk, with no factoring;
-the rest are eligible.  As m is p - 1 or p + 1, a prime can count only if
+at a time in numpy int64.  The primes of the excluded locus (2*a2*Delta, or
+2*D*b*c for an element (a + b*sqrt(D))/c) drop out by one residue test per
+chunk, with no factoring; the rest are eligible.  As m is p - 1 or p + 1, a prime can count only if
 p = +-1 mod q^k for every q^k || d, and the others leave before any ladder
 runs.  The survivors get chi(p) and t from one power ladder: with t = num/den
 and b = D*den^2, f = b^((p-3)/2) satisfies f*b = chi(p), den^2 being a square,
@@ -195,8 +194,8 @@ def _chain(target: Target) -> _Chain:
     if isinstance(target, SequenceContext):
         char_disc, locus = target.delta, 2 * target.a2 * target.delta
     else:
-        char_disc = gamma.disc_k
-        locus = 2 * gamma.disc_k * gamma.u.denominator * gamma.v.denominator * gamma.v.numerator
+        (_, b, c), char_disc = gamma.abc, gamma.disc_k
+        locus = 2 * char_disc * b * c
     return _Chain(trace=qf_trace(gamma), char_disc=char_disc, locus=locus)
 
 

@@ -1,12 +1,14 @@
 """Exact arithmetic in real and imaginary quadratic fields.
 
-Elements are stored over the fundamental discriminant of their field.  On top
-of the field arithmetic this module builds the three nontrivial computations
-everything else depends on: exact n-th-power testing (p-adic candidates from
-Hensel lifting and rational reconstruction, exact certificates), fundamental
-units by continued fractions, and the power index of a norm-one element under
-all torsion twists.  root_quotient is the one check of what a target is, for
-the power index, the counter and the CLI.
+Elements are stored over the fundamental discriminant of their field;
+QuadElem.abc is the one place that writes an element in its integral form
+(a + b*sqrt(D))/c.  On top of the field arithmetic this module builds the
+three nontrivial computations everything else depends on: exact n-th-power
+testing (p-adic candidates from Hensel lifting and rational reconstruction,
+exact certificates), the fundamental unit from one continued fraction of the
+maximal order's generator (s + sqrt(D))/2, and the power index of a norm-one
+element under all torsion twists.  root_quotient is the one check of what a
+target is, for the power index, the counter and the CLI.
 """
 
 from __future__ import annotations
@@ -65,10 +67,22 @@ class QuadElem:
     def __neg__(self) -> "QuadElem":
         return QuadElem(self.disc_k, -self.u, -self.v)
 
+    @property
+    def abc(self) -> tuple[int, int, int]:
+        """The integral form (a, b, c) of (a + b*sqrt(D))/c: c >= 1, gcd(a, b, c) = 1.
+
+        >>> QuadElem(5, Fraction(1, 2), Fraction(1, 2)).abc
+        (1, 1, 2)
+        >>> QuadElem(12, 2, Fraction(1, 2)).abc, QuadElem(29, Fraction(-5, 2), 0).abc
+        ((4, 1, 2), (-5, 0, 2))
+        """
+        u, v = self.u, self.v
+        c = math.lcm(u.denominator, v.denominator)
+        return u.numerator * (c // u.denominator), v.numerator * (c // v.denominator), c
+
     def __str__(self) -> str:
         """ASCII form (a+b*sqrt(D))/c over the common denominator; b always shown."""
-        c = math.lcm(self.u.denominator, self.v.denominator)
-        a, b = self.u * c, self.v * c
+        a, b, c = self.abc
         core = f"{a}{'+' if b >= 0 else '-'}{abs(b)}*sqrt({self.disc_k})"
         return f"({core})/{c}" if c != 1 else core
 
@@ -111,8 +125,8 @@ def qf_pow(x: QuadElem, k: int) -> QuadElem:
     if k < 0:
         return qf_pow(qf_inv(x), -k)
     # square and multiply on the integer coordinates of x = (a + b*sqrt(D))/c
-    c = math.lcm(x.u.denominator, x.v.denominator)
-    a, b, disc, den = int(x.u * c), int(x.v * c), x.disc_k, c ** k
+    a, b, c = x.abc
+    disc, den = x.disc_k, c ** k
     ra, rb = 1, 0
     while k:
         if k & 1:
@@ -361,8 +375,7 @@ def _sigma1_positive(y: QuadElem) -> bool:
 
 def _angle(x: QuadElem) -> float:
     """arg of x in (-pi, pi] for an imaginary field, with no float overflow."""
-    c = math.lcm(x.u.denominator, x.v.denominator)
-    a, b = int(x.u * c), int(x.v * c)
+    a, b, _ = x.abc
     shift = max(0, max(abs(a), abs(b)).bit_length() - 64)
     # >> rounds toward -inf, so a negative b stays negative and v = 0 gives +0.0
     return math.atan2((b >> shift) * math.sqrt(-x.disc_k), a >> shift)
@@ -458,36 +471,30 @@ def is_nth_power(x: QuadElem, n: int) -> Optional[QuadElem]:
 # ---------------------------------------------------------------------------
 
 
-def _pell_fundamental(d: int) -> tuple[int, int]:
-    """Smallest (x, y), x, y >= 1, with x**2 - d*y**2 = +-1, for non-square d > 1."""
-    a0 = math.isqrt(d)
-    m, den, a = 0, 1, a0
-    p_prev, p = 1, a0
-    q_prev, q = 0, 1
-    while True:
-        m = den * a - m
-        den = (d - m * m) // den
-        a = (a0 + m) // den
-        if a == 2 * a0 and den == 1:
-            return p, q
-        p_prev, p = p, a * p + p_prev
-        q_prev, q = q, a * q + q_prev
-
-
 def fundamental_unit(disc_k: int) -> QuadElem:
-    """Fundamental unit > 1 of the maximal order of the real field of disc_k."""
-    if disc_k <= 0:
-        raise LucasDensityError("fundamental_unit needs a positive discriminant")
-    d = disc_k if disc_k % 4 == 1 else disc_k // 4
-    px, py = _pell_fundamental(d)
-    if disc_k % 4 == 1:
-        eps = QuadElem(disc_k, Fraction(px), Fraction(py))
-        # the order Z[sqrt(d)] may sit at index 3 below the maximal order's units
-        cube = is_nth_power(eps, 3)
-        if cube is not None:
-            eps = cube
-    else:
-        eps = QuadElem(disc_k, Fraction(px), Fraction(py, 2))
+    """Fundamental unit > 1 of the maximal order Z[w] of the real field of disc_k.
+
+    One continued fraction of w = (s + sqrt(D))/2, D = disc_k, s = D mod 2 (H.
+    Cohen, GTM 138, ch. 5).  Its complete quotients (P + sqrt(D))/Q start at
+    (s, 2); at the first return of Q to 2, after n steps, the last convergent
+    p/q gives the unit p - q*w' = (2p - qs + q*sqrt(D))/2 of norm (-1)^n.
+
+    >>> eps = fundamental_unit(5); str(eps), qf_norm(eps)
+    ('(1+1*sqrt(5))/2', Fraction(-1, 1))
+    >>> str(qf_pow(eps, 3))  # the unit of Z[sqrt(5)] sits at index 3
+    '2+1*sqrt(5)'
+    >>> str(fundamental_unit(12)), str(fundamental_unit(29))
+    ('(4+1*sqrt(12))/2', '(5+1*sqrt(29))/2')
+    """
+    if disc_k <= 0 or disc_k % 4 > 1 or math.isqrt(disc_k) ** 2 == disc_k:
+        raise LucasDensityError(f"not the discriminant of a real quadratic field: {disc_k}")
+    s, root = disc_k % 2, math.isqrt(disc_k)
+    big_p, big_q, p0, p1, q0, q1 = s, 2, 0, 1, 1, 0  # (P, Q), convergents n - 2 and n - 1
+    while q1 == 0 or big_q != 2:
+        a = (big_p + root) // big_q
+        big_p, p0, p1, q0, q1 = a * big_q - big_p, p1, a * p1 + p0, q1, a * q1 + q0
+        big_q = (disc_k - big_p * big_p) // big_q
+    eps = QuadElem(disc_k, Fraction(2 * p1 - q1 * s, 2), Fraction(q1, 2))
     assert qf_norm(eps) in (1, -1), "unit must have norm +-1"
     return eps
 
@@ -531,9 +538,7 @@ def _support_exponents(x: QuadElem) -> list[tuple[int, int]]:
     one prime above 2, so |v_P(x)| = v_2(c) - 1.  Norm 1 makes the valuation
     vanish at every inert or ramified prime, 2 included.
     """
-    disc = x.disc_k
-    c = math.lcm(x.u.denominator, x.v.denominator)
-    a, b = int(x.u * c), int(x.v * c)
+    disc, (a, b, c) = x.disc_k, x.abc
     assert a * a - disc * b * b == c * c, "norm-1 element expected"
     return [(p, e - (p == 2)) for p, e in factorize(c) if p != 2 or disc % 8 == 1]
 
@@ -544,9 +549,8 @@ def _log_sigma1(unit: QuadElem) -> float:
     |u| + |v|*sqrt(D) has no cancellation; since the conjugates multiply to +-1,
     sigma_1 is the larger one exactly when u and v have the same sign.
     """
-    c = math.lcm(unit.u.denominator, unit.v.denominator)
-    a, b = abs(int(unit.u * c)), abs(int(unit.v * c))
-    scaled = (a << 64) + math.isqrt((b * b * unit.disc_k) << 128)  # 2^64*c*larger
+    a, b, c = unit.abc
+    scaled = (abs(a) << 64) + math.isqrt((b * b * unit.disc_k) << 128)  # 2^64*c*larger
     log_larger = math.log(scaled) - 64 * math.log(2) - math.log(c)
     return log_larger if (unit.u > 0) == (unit.v > 0) else -log_larger
 

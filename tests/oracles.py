@@ -9,6 +9,10 @@ off the denominator, and the conductor oracles compute the discriminant of a
 defining polynomial by round two instead of reading the ramified primes off
 the root.  fraction_s_eval is the S closed form itself, multiplied out one
 Fraction factor at a time: the reference for the package's integer form.
+reference_fundamental_unit is not independent: it is the package's earlier
+fundamental unit (Pell's equation in Z[sqrt(d)], then a cube-root test for
+index 3), kept verbatim as a regression reference for the one continued
+fraction that replaced it.
 """
 
 from __future__ import annotations
@@ -18,9 +22,9 @@ from fractions import Fraction
 from lucasdensity.arith import (divides_power_infinity, divisors, euler_phi, factorize,
                                 gcd_power_infinity, jacobi, moebius, prime_factors,
                                 validate_positive)
-from lucasdensity.errors import HypothesisError
+from lucasdensity.errors import HypothesisError, LucasDensityError
 from lucasdensity.kummer import poly_field_disc, sqrt_data
-from lucasdensity.quadfield import QuadElem, _lift_root, _roots_mod_prime
+from lucasdensity.quadfield import QuadElem, _lift_root, _roots_mod_prime, is_nth_power, qf_norm
 
 import math
 
@@ -173,3 +177,37 @@ def reference_cubic_conductor(root: QuadElem) -> int:
     disc_f = poly_field_disc(integralize([-2 * root.u, Fraction(-3), Fraction(0), Fraction(1)]))
     assert disc_f > 0 and math.isqrt(disc_f) ** 2 == disc_f, disc_f
     return math.isqrt(disc_f)
+
+
+def _pell_fundamental(d: int) -> tuple[int, int]:
+    """Smallest (x, y), x, y >= 1, with x**2 - d*y**2 = +-1, for non-square d > 1."""
+    a0 = math.isqrt(d)
+    m, den, a = 0, 1, a0
+    p_prev, p = 1, a0
+    q_prev, q = 0, 1
+    while True:
+        m = den * a - m
+        den = (d - m * m) // den
+        a = (a0 + m) // den
+        if a == 2 * a0 and den == 1:
+            return p, q
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+
+
+def reference_fundamental_unit(disc_k: int) -> QuadElem:
+    """Fundamental unit > 1 of the maximal order of the real field of disc_k."""
+    if disc_k <= 0:
+        raise LucasDensityError("fundamental_unit needs a positive discriminant")
+    d = disc_k if disc_k % 4 == 1 else disc_k // 4
+    px, py = _pell_fundamental(d)
+    if disc_k % 4 == 1:
+        eps = QuadElem(disc_k, Fraction(px), Fraction(py))
+        # the order Z[sqrt(d)] may sit at index 3 below the maximal order's units
+        cube = is_nth_power(eps, 3)
+        if cube is not None:
+            eps = cube
+    else:
+        eps = QuadElem(disc_k, Fraction(px), Fraction(py, 2))
+    assert qf_norm(eps) in (1, -1), "unit must have norm +-1"
+    return eps

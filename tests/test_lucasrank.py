@@ -24,7 +24,8 @@ from lucasdensity.lucasrank import (
     rank,
     spf_sieve,
 )
-from lucasdensity.quadfield import QuadElem, SequenceContext, make_context, qf_norm
+from lucasdensity.quadfield import (QuadElem, SequenceContext, is_torsion, make_context, qf_conj,
+                                    qf_inv, qf_mul, qf_norm)
 
 from oracles import naive_rank
 
@@ -253,6 +254,34 @@ def test_rank_out_of_reach():
             assert lucas_v_mod(r, p, chain.trace) == 2
             for q in _trial_prime_factors(r):
                 assert lucas_v_mod(r // q, p, chain.trace) != 2, (str(target), p, q)
+
+
+def _same_primes(m, n):
+    """Whether m and n have the same prime divisors, without factoring either."""
+    for x, y in ((m, n), (n, m)):
+        while (g := math.gcd(x, y)) > 1:
+            x //= g
+        if abs(x) != 1:
+            return False
+    return True
+
+
+def test_element_locus_keeps_its_primes():
+    # 2*D*b*c, for gamma = (a + b*sqrt(D))/c, excludes the primes that 2*D
+    # times u's and v's denominators and v's numerator did
+    rng = random.Random(29)
+    gammas = [row.gamma for row in REFERENCE_PROFILES]
+    for disc in (5, 8, 12, 29, 13 * 17, -3, -4, -15, -4 * 7 * 11):
+        for bits in (4, 20, 70):
+            x = QuadElem(disc, Fraction(rng.randint(1, 2**bits), rng.randint(1, 2**bits)),
+                         Fraction(rng.randint(-2**bits, -1), rng.randint(1, 2**bits)))
+            gamma = qf_mul(x, qf_inv(qf_conj(x)))  # x / x' has norm 1
+            if not is_torsion(gamma):
+                gammas.append(gamma)
+    assert len(gammas) > 30
+    for gamma in gammas:
+        old = 2 * gamma.disc_k * gamma.u.denominator * gamma.v.denominator * gamma.v.numerator
+        assert _same_primes(_chain(gamma).locus, old), str(gamma)
 
 
 # ---------------------------------------------------------------------------

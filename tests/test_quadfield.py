@@ -28,6 +28,7 @@ from lucasdensity.quadfield import (
     SequenceContext,
     _support_exponents,
     _tie_break_order,
+    disc_and_scale,
     fundamental_unit,
     gamma_from_radicand,
     is_nth_power,
@@ -46,7 +47,7 @@ from lucasdensity.quadfield import (
 )
 from lucasdensity.lucasrank import dump_ranks, empirical_density, rank
 
-from oracles import padic_support_exponents
+from oracles import padic_support_exponents, reference_fundamental_unit
 
 # ---------------------------------------------------------------------------
 # elements
@@ -558,7 +559,8 @@ _ROOT_CORPUS_DIGEST = "bdbd8f4cda404707d5967bb3f6a70491a917826ab4225e9d8f81a0bda
 def test_is_nth_power_pinned_over_seeded_corpus():
     lines = [f"{x.disc_k},{x.u},{x.v}|{n}|{is_nth_power(x, n)}" for x, n in _root_corpus()]
     hits = sum(not line.endswith("|None") for line in lines)
-    # fundamental_unit's cube test on the units of Z[(1+sqrt(d))/2]
+    # fundamental units of Z[(1+sqrt(d))/2], recorded when fundamental_unit
+    # found them by a cube-root test
     lines += [f"{disc}|{fundamental_unit(disc)}" for disc in range(5, 400, 4)
               if all(disc % (q * q) for q in range(3, math.isqrt(disc) + 1, 2))]
     assert (len(lines), hits) == (1367, 425)
@@ -575,8 +577,9 @@ def test_fundamental_unit_pinned():
     assert fundamental_unit(5) == QuadElem(5, F(1, 2), F(1, 2))
     assert fundamental_unit(29) == QuadElem(29, F(5, 2), F(1, 2))
     assert fundamental_unit(12) == QuadElem(12, F(2), F(1, 2))  # 2 + sqrt(3)
-    with pytest.raises(LucasDensityError):
-        fundamental_unit(-4)
+    for disc in (-4, 0, 7, 9, 16):  # imaginary, zero, not 0 or 1 mod 4, squares
+        with pytest.raises(LucasDensityError):
+            fundamental_unit(disc)
 
 
 @pytest.mark.parametrize("disc", [5, 8, 12, 13, 17, 21, 24, 28, 29, 33, 40, 44, 61])
@@ -585,6 +588,36 @@ def test_fundamental_unit_is_primitive(disc):
     assert qf_norm(eps) in (1, -1)
     for k in (2, 3):
         assert is_nth_power(eps, k) is None, f"unit of disc {disc} is a {k}-th power"
+
+
+def test_fundamental_unit_matches_the_pell_reference():
+    # every fundamental D < 5000; the counts of units of norm -1 and of units
+    # outside Z[sqrt(D)] (index 3) keep the corpus from shrinking unnoticed
+    discs = [d for d in range(5, 5000) if disc_and_scale(d)[0] == d]
+    units = [fundamental_unit(d) for d in discs]
+    assert units == [reference_fundamental_unit(d) for d in discs]
+    norm_minus = sum(qf_norm(eps) == -1 for eps in units)
+    index_3 = sum(d % 4 == 1 and eps.abc[2] == 2 for d, eps in zip(discs, units))
+    assert (len(discs), norm_minus, index_3) == (1516, 509, 380)
+
+
+def test_abc_is_the_integral_form():
+    rng = random.Random(29)
+    elems = [QuadElem(5, 0, 0), QuadElem(-4, F(-3, 5), 0),
+             QuadElem(8, F(-7, 2**70), F(5, 3 * 2**64))]
+    for disc in _ROOT_DISCS:
+        for bits in (3, 40, 100):
+            x = _random_elem(rng, disc, bits)
+            y = QuadElem(disc, F(rng.randint(-2**bits, 2**bits), rng.randint(1, 2**bits)),
+                         F(rng.randint(-2**bits, 2**bits), rng.randint(1, 2**bits)))
+            elems += [x, -x, qf_conj(x), QuadElem(disc, x.u, 0), y]
+    for x in elems:
+        a, b, c = x.abc
+        assert all(type(t) is int for t in (a, b, c)), str(x)
+        assert c >= 1 and math.gcd(a, b, c) == 1, str(x)
+        assert (F(a, c), F(b, c)) == (x.u, x.v), str(x)
+    assert any(x.abc[2] > 2**63 for x in elems)
+    assert any(x.v == 0 for x in elems) and any(x.u < 0 and x.v < 0 for x in elems)
 
 
 # ---------------------------------------------------------------------------
