@@ -8,13 +8,11 @@ sums are integer numerators over a running lcm (_lcm_sum), and only returned
 values are Fractions.
 
 The case layer has three pieces.  _normal picks, by field and by d, the term
-rows (e, nu, 2 * coeff_plus, 2 * coeff_minus) of a normal form: the density is
-sum (coeff_plus + coeff_minus) * S_{d,e,h}(nu), and delta_plus and delta_minus
-(split and inert primes) are the sums with one weight each.  The trace lists
-every nonzero S value with its total weight.  _hi_twist rescales _normal for a
-twist by a primitive fourth or cube root of unity, from one (q, c, K) entry per
+rows of a normal form and sums them.  _hi_twist rescales _normal for a twist
+by a primitive fourth or cube root of unity, from one (q, c, K) entry per
 field, and _dispatch folds -1 and the sixth roots into the sign-switched
-element by inclusion-exclusion.
+element by inclusion-exclusion.  Every trace term is an STerm, which derives
+its value S_{d,e,h}(nu) by s_eval, so a trace cannot hold any other value.
 
 Both the case formulas and the series see a normal form only through its
 kummer.KummerProfile: h, #mu(K), delta1, delta2 and one conductor, which the
@@ -83,31 +81,23 @@ def _lcm_sum(pairs) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class STerm:
-    """One evaluated S sum together with its multiplier in the density."""
+    """One S sum S_{d,e,h}(nu), derived by s_eval, with its multiplier in the density.
+
+    >>> STerm(6, 1, 2, 1, Fraction(1, 2)).value, STerm(6, 5, 2, 1, Fraction(1)).value
+    (Fraction(1, 8), Fraction(0, 1))
+    """
 
     d: int
     e: int
     h: int
     nu: int
     coefficient: Fraction
-    value: Fraction
+    value: Fraction = field(init=False)
 
     def __post_init__(self) -> None:
-        for name in ("d", "e", "h", "nu"):
-            val = getattr(self, name)
-            if not isinstance(val, int) or val < 1:
-                raise LucasDensityError(f"STerm.{name} must be a positive int, got {val!r}")
-        for name in ("coefficient", "value"):
-            if not isinstance(getattr(self, name), Fraction):
-                raise LucasDensityError(f"STerm.{name} must be a Fraction, got {getattr(self, name)!r}")
-        if self.value and not (divides_power_infinity(self.e, self.d)
-                               and divides_power_infinity(self.nu, self.d)):
-            raise LucasDensityError(
-                f"STerm.value must be 0 off the support (d={self.d}, e={self.e}, nu={self.nu}),"
-                f" got {self.value}")
-        if self.nu % gcd_power_infinity(self.h, self.nu):
-            raise HypothesisError(f"STerm.nu={self.nu} is outside the hypothesis (h, nu^inf) | nu"
-                                  f" for h={self.h}")
+        if not isinstance(self.coefficient, Fraction):
+            raise LucasDensityError(f"STerm.coefficient must be a Fraction, got {self.coefficient!r}")
+        object.__setattr__(self, "value", s_eval(self.d, self.e, self.h, self.nu))
 
     @property
     def contribution(self) -> Fraction:
@@ -134,13 +124,15 @@ class DensityResult:
             if isinstance(val, bool) or not isinstance(val, (int, Fraction)):
                 raise LucasDensityError(
                     f"DensityResult.{name} must be an int or a Fraction, got {val!r}")
+            if val.numerator < 0:
+                raise LucasDensityError(f"DensityResult.{name}={val} is negative")
         delta = self.delta_plus + self.delta_minus
         object.__setattr__(self, "delta", delta)
-        if not 0 <= delta.numerator <= delta.denominator:
+        if delta.numerator > delta.denominator:
             raise LucasDensityError(f"DensityResult.delta={delta} is outside [0, 1]")
-        for name in ("delta_plus", "delta_minus"):
-            if getattr(self, name).numerator < 0:
-                raise LucasDensityError(f"DensityResult.{name}={getattr(self, name)} is negative")
+        for t in self.trace:
+            if not isinstance(t, STerm):
+                raise LucasDensityError(f"DensityResult.trace must hold STerms, got {t!r}")
         num, den = _lcm_sum((t.coefficient.numerator * t.value.numerator,
                              t.coefficient.denominator * t.value.denominator) for t in self.trace)
         if num * delta.denominator != delta.numerator * den:
@@ -155,9 +147,7 @@ def s_eval(d: int, e: int, h: int, nu: int = 1) -> Fraction:
     """Closed form of the inner density sum S_{d,e,h}(nu)."""
     validate_positive(d=d, e=e, h=h, nu=nu)
     if nu % gcd_power_infinity(h, nu):
-        raise HypothesisError(
-            f"s_eval({d},{e},{h},{nu}): ({h},{nu}^inf) does not divide {nu}"
-        )
+        raise HypothesisError(f"s_eval({d},{e},{h},{nu}): ({h},{nu}^inf) does not divide {nu}")
     if not (divides_power_infinity(e, d) and divides_power_infinity(nu, d)):
         return Fraction(0)
     big_d = d // gcd_power_infinity(d, nu)
@@ -302,7 +292,9 @@ def _hat(n: int, d: int) -> int:
 
 
 def _scaled(inner: DensityResult, factor: Fraction) -> tuple:
-    return tuple(STerm(t.d, t.e, t.h, t.nu, t.coefficient * factor, t.value) for t in inner.trace)
+    if factor == 1:
+        return inner.trace
+    return tuple(STerm(t.d, t.e, t.h, t.nu, t.coefficient * factor) for t in inner.trace)
 
 
 def _echo_base(profile: KummerProfile, **extra) -> dict:
@@ -322,7 +314,7 @@ def _normal(d: int, profile: KummerProfile) -> DensityResult:
 
     The density is sum (c_plus + c_minus) * S_{d,e,h}(nu), each weight a
     multiple of 1/2; delta_plus and delta_minus are the sums with one weight
-    each, and the trace lists every nonzero S value with its total weight.
+    each, and the trace keeps every nonzero S term with its total weight.
     The odd-generic case is certified against the series sum on every call.
     """
     disc, h, sq = profile.gamma.disc_k, profile.h, profile.sqrt
@@ -366,11 +358,11 @@ def _normal(d: int, profile: KummerProfile) -> DensityResult:
 
     plus, minus, trace = [], [], []
     for e_row, nu, c_plus, c_minus in rows:
-        value = s_eval(d, e_row, h, nu)
-        if value:
-            plus.append((c_plus * value.numerator, 2 * value.denominator))
-            minus.append((c_minus * value.numerator, 2 * value.denominator))
-            trace.append(STerm(d, e_row, h, nu, Fraction(c_plus + c_minus, 2), value))
+        term = STerm(d, e_row, h, nu, Fraction(c_plus + c_minus, 2))
+        if term.value:
+            plus.append((c_plus * term.value.numerator, 2 * term.value.denominator))
+            minus.append((c_minus * term.value.numerator, 2 * term.value.denominator))
+            trace.append(term)
     result = DensityResult(Fraction(*_lcm_sum(plus)), Fraction(*_lcm_sum(minus)), tag,
                            tuple(trace), _echo_base(profile, **extra))
     if tag == CASE_ODD_GENERIC:
@@ -441,7 +433,7 @@ def _dispatch(gamma: QuadElem, d: int) -> DensityResult:
 
     if d == 1:
         # trivially every rank is divisible by 1; no normalization needed
-        trace = (STerm(1, 1, pix.table[0], 1, Fraction(1), Fraction(1)),)
+        trace = (STerm(1, 1, pix.table[0], 1, Fraction(1)),)
         echo = {"h": pix.h, "zeta_star": zeta_label(disc, j), "d": 1}
         return DensityResult(Fraction(1, 2), Fraction(1, 2), CASE_ODD_GENERIC, trace, echo)
 

@@ -48,6 +48,8 @@ class SqrtData:
 
 def sqrt_data(root: QuadElem) -> SqrtData:
     """Square-root data of the normalised h2-th root of gamma-tilde."""
+    if not isinstance(root, QuadElem):
+        raise LucasDensityError(f"sqrt_data needs a field element, got {root!r}")
     norm = qf_norm(root)
     if norm not in (1, -1) or root.v == 0:  # v = 0 leaves the torsion +-1, and c = 0 at 1
         raise LucasDensityError(
@@ -391,7 +393,7 @@ def _tame_part(root: QuadElem, disc: int, n: int, name: str) -> int:
     By Kummer theory a prime P over such a p ramifies exactly when n does not
     divide v_P(root); for a norm-1 root every such P lies over its denominator.
     """
-    if root.disc_k != disc or root.v == 0 or qf_norm(root) != 1:
+    if not isinstance(root, QuadElem) or root.disc_k != disc or root.v == 0 or qf_norm(root) != 1:
         raise LucasDensityError(f"{name} needs a norm-1 root over disc {disc} off Q, got {root}")
     return math.prod(p for p, e in _support_exponents(root) if e % n)
 

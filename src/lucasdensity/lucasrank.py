@@ -44,7 +44,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Union
 
-from .arith import factorize, is_probable_prime, jacobi, prime_factors, validate_positive
+from .arith import (factorize, is_probable_prime, jacobi, prime_factors, validate_int,
+                    validate_positive)
 from .errors import LimitError, LucasDensityError
 from .quadfield import SequenceContext, Target, qf_trace, root_quotient
 
@@ -242,6 +243,9 @@ class EmpiricalReport:
     ratio_minus: Fraction = field(init=False)
 
     def __post_init__(self) -> None:
+        validate_positive(**{f"EmpiricalReport.{n}": getattr(self, n) for n in ("d", "x")})
+        validate_int(**{f"EmpiricalReport.{n}": getattr(self, n)
+                        for n in ("counted", "counted_plus", "eligible")})
         if not 0 <= self.counted_plus <= self.counted <= self.eligible:
             raise LucasDensityError(f"EmpiricalReport needs 0 <= counted_plus={self.counted_plus}"
                                     f" <= counted={self.counted} <= eligible={self.eligible}")

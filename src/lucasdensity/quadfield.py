@@ -416,6 +416,7 @@ def is_nth_power(x: QuadElem, n: int) -> Optional[QuadElem]:
     back as rationals.  Acceptance is by exact re-powering.  Which root comes
     back is fixed by _preferred_root.
     """
+    validate_int(n=n)
     if n < 1:
         raise LucasDensityError(f"is_nth_power needs n >= 1, got {n}")
     if x.u == 0 and x.v == 0:
@@ -486,6 +487,7 @@ def fundamental_unit(disc_k: int) -> QuadElem:
     >>> str(fundamental_unit(12)), str(fundamental_unit(29))
     ('(4+1*sqrt(12))/2', '(5+1*sqrt(29))/2')
     """
+    validate_int(disc_k=disc_k)
     if disc_k <= 0 or disc_k % 4 > 1 or math.isqrt(disc_k) ** 2 == disc_k:
         raise LucasDensityError(f"not the discriminant of a real quadratic field: {disc_k}")
     s, root = disc_k % 2, math.isqrt(disc_k)

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from lucasdensity.density import (
     STerm,
     _pix,
     _profile,
+    _scaled,
     _stable_exponents,
     _valuation,
     dispatch,
@@ -320,7 +322,7 @@ def test_result_shape():
 
 
 def test_result_derives_delta_from_its_split():
-    term = STerm(1, 1, 1, 1, Fraction(3, 8), Fraction(1))
+    term = STerm(1, 1, 1, 1, Fraction(3, 8))
     res = DensityResult(Fraction(1, 4), Fraction(1, 8), "t", (term,), {})
     assert res.delta == Fraction(3, 8)
     with pytest.raises(TypeError):
@@ -334,25 +336,62 @@ def test_result_derives_delta_from_its_split():
 # the near miss is also in test_quadfield._OPTIMIZED_CHECK
 def test_result_trace_check_is_exact_over_mixed_denominators():
     # 1/3 + 1/24 = 3/8: the terms' denominators differ from delta's and from each other
-    mixed = (STerm(1, 1, 1, 1, Fraction(1, 3), Fraction(1)),
-             STerm(1, 1, 1, 1, Fraction(1, 8), Fraction(1, 3)))
+    mixed = (STerm(1, 1, 1, 1, Fraction(1, 3)), STerm(1, 1, 1, 1, Fraction(1, 24)))
     assert DensityResult(Fraction(1, 4), Fraction(1, 8), "t", mixed, {}).delta == Fraction(3, 8)
     near = Fraction(3, 8) - Fraction(1, 3 * 2**61)
     with pytest.raises(LucasDensityError, match="trace does not reproduce delta=3/8"):
         DensityResult(Fraction(1, 4), Fraction(1, 8), "t",
-                      (STerm(1, 1, 1, 1, Fraction(1), near),), {})
+                      (STerm(1, 1, 1, 1, near),), {})
 
 
 # the float split is also in test_quadfield._OPTIMIZED_CHECK
 @pytest.mark.parametrize("bad, shown", [(0.25, r"0\.25"), (True, "True"), (False, "False"),
                                         ("1/4", "'1/4'"), (None, "None")])
 def test_result_refuses_a_split_that_is_not_an_int_or_fraction(bad, shown):
-    term = STerm(1, 1, 1, 1, Fraction(3, 8), Fraction(1))
+    term = STerm(1, 1, 1, 1, Fraction(3, 8))
     for split, name in (((bad, Fraction(1, 8)), "plus"), ((Fraction(1, 4), bad), "minus")):
         with pytest.raises(LucasDensityError, match=rf"^DensityResult\.delta_{name} must be"
                            rf" an int or a Fraction, got {shown}$"):
             DensityResult(*split, "t", (term,), {})
     assert DensityResult(0, Fraction(3, 8), "t", (term,), {}).delta == Fraction(3, 8)
+
+
+def test_sterm_derives_its_value_by_s_eval():
+    checked = 0
+    for d in range(1, 31):
+        for e in _S_GRID_E:
+            for h in _S_GRID_H:
+                for nu in _S_GRID_NU:
+                    if nu % gcd_power_infinity(h, nu):
+                        continue
+                    term = STerm(d, e, h, nu, Fraction(1, 2))
+                    assert term.value == s_eval(d, e, h, nu), (d, e, h, nu)
+                    checked += 1
+    assert checked == 13800
+    with pytest.raises(TypeError):
+        STerm(1, 1, 1, 1, Fraction(1), Fraction(1))
+    with pytest.raises(HypothesisError):
+        STerm(2, 1, 4, 2, Fraction(1))  # (4, 2^inf) = 4 does not divide nu = 2
+    with pytest.raises(LucasDensityError, match=r"^STerm\.coefficient must be a Fraction, got 1$"):
+        STerm(1, 1, 1, 1, 1)
+
+
+# the int entry is also in test_quadfield._OPTIMIZED_CHECK
+@pytest.mark.parametrize("entry", [1, Fraction(3, 8), None, (1, 1, 1, 1, Fraction(3, 8))],
+                         ids=repr)
+def test_result_refuses_a_trace_entry_that_is_not_an_sterm(entry):
+    with pytest.raises(LucasDensityError,
+                       match=rf"^DensityResult\.trace must hold STerms, got {re.escape(repr(entry))}$"):
+        DensityResult(Fraction(1, 4), Fraction(1, 8), "t", (entry,), {})
+
+
+def test_scaling_by_one_keeps_the_trace():
+    for row in REFERENCE_ROWS:
+        res = dispatch(row.gamma, row.d)
+        assert _scaled(res, Fraction(1)) is res.trace
+        doubled = _scaled(res, Fraction(2))
+        assert [t.coefficient for t in doubled] == [2 * t.coefficient for t in res.trace]
+        assert [t.value for t in doubled] == [t.value for t in res.trace]
 
 
 # ---------------------------------------------------------------------------

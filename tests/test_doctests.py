@@ -26,4 +26,4 @@ def test_doctests_are_collected():
         for name in MODULES
         for test in finder.find(importlib.import_module(name))
     )
-    assert examples >= 18
+    assert examples >= 19

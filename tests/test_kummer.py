@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -119,6 +120,18 @@ def test_sqrt_data_degenerate():
     with pytest.raises(LucasDensityError,
                        match=r"sqrt_data needs a root of norm \+-1 off Q, got 1\+0\*sqrt\(8\)"):
         sqrt_data(QuadElem(8, 1, 0))
+
+
+# each 5 is also in test_quadfield._OPTIMIZED_CHECK
+@pytest.mark.parametrize("bad", [5, Fraction(1, 2), "x", None], ids=repr)
+def test_root_helpers_refuse_a_non_element_by_name(bad):
+    shown = re.escape(repr(bad))
+    with pytest.raises(LucasDensityError, match=rf"^sqrt_data needs a field element, got {shown}$"):
+        sqrt_data(bad)
+    for conductor, disc in ((quartic_conductor, -4), (cubic_conductor, -3)):
+        with pytest.raises(LucasDensityError, match=rf"^{conductor.__name__} needs a norm-1 root"
+                           rf" over disc {disc} off Q, got {re.escape(str(bad))}$"):
+            conductor(bad)
 
 
 def test_sqrt_data_lcm_identity():

@@ -431,6 +431,20 @@ def test_report_rejects_inconsistent_counts():
         EmpiricalReport(d=2, x=10, counted=3, counted_plus=4, eligible=5)
 
 
+# the float count and x = 0 are also in test_quadfield._OPTIMIZED_CHECK
+@pytest.mark.parametrize("args, message", [
+    ((2, 10, 1.5, 1, 3), r"EmpiricalReport\.counted must be an integer, got 1\.5"),
+    ((2, 10, 3, True, 5), r"EmpiricalReport\.counted_plus must be an integer, got True"),
+    ((2, 10, 3, 1, "5"), r"EmpiricalReport\.eligible must be an integer, got '5'"),
+    ((0, 10, 0, 0, 0), r"EmpiricalReport\.d must be a positive integer, got 0"),
+    ((2.0, 10, 0, 0, 0), r"EmpiricalReport\.d must be a positive integer, got 2\.0"),
+    ((2, -1, 0, 0, 0), r"EmpiricalReport\.x must be a positive integer, got -1"),
+])
+def test_report_refuses_counts_and_bounds_of_other_types(args, message):
+    with pytest.raises(LucasDensityError, match=f"^{message}$"):
+        EmpiricalReport(*args)
+
+
 def test_report_derives_the_inert_count_and_ratios():
     rep = EmpiricalReport(2, 10, 3, 1, 5)
     assert (rep.counted_minus, rep.ratio, rep.ratio_plus, rep.ratio_minus) == (

@@ -60,6 +60,7 @@ from fractions import Fraction
 from lucasdensity import (DensityResult, EmpiricalReport, LucasDensityError, QuadElem, STerm,
                           dispatch, empirical_density, gamma_from_radicand, make_context,
                           power_index, rank)
+from lucasdensity.quadfield import fundamental_unit, is_nth_power
 from lucasdensity.density import kummer_profile
 from lucasdensity.kummer import (KummerProfile, _membership, cubic_conductor, quartic_conductor,
                                  sqrt_data)
@@ -67,7 +68,7 @@ fib = make_context(1, -1).gamma
 calls = [lambda disc=disc: dispatch(QuadElem(disc, 1, 1), 2) for disc in (7, 0, 9, 4)]
 calls.append(lambda: power_index(QuadElem(5, 2, 0)))
 calls.append(lambda: dispatch(QuadElem(20, Fraction(-3, 2), Fraction(-1, 4)), 2))
-calls.append(lambda: STerm(2, 1, 1, 0, Fraction(1), Fraction(1)))
+calls.append(lambda: STerm(2, 1, 1, 0, Fraction(1)))
 calls.append(lambda: KummerProfile(fib, power_index(fib)))
 calls.append(lambda: _membership(5, 10, kummer_profile(QuadElem(5, Fraction(3, 2), Fraction(1, 2)))))
 calls.append(lambda: DensityResult(Fraction(1), Fraction(1), "t", (), {}))
@@ -86,10 +87,20 @@ calls.append(lambda: make_context(True, -1))
 calls.append(lambda: QuadElem("5", 1, 1))
 calls.append(lambda: QuadElem(5.0, 1, 1))
 calls.append(lambda: QuadElem(5, "a", 1))
-one = STerm(1, 1, 1, 1, Fraction(3, 8), Fraction(1))
+one = STerm(1, 1, 1, 1, Fraction(3, 8))
 calls.append(lambda: DensityResult(0.25, 0.125, "t", (one,), {}))
-near = STerm(1, 1, 1, 1, Fraction(1), Fraction(3, 8) - Fraction(1, 3 * 2**61))
+near = STerm(1, 1, 1, 1, Fraction(3, 8) - Fraction(1, 3 * 2**61))
 calls.append(lambda: DensityResult(Fraction(1, 4), Fraction(1, 8), "t", (near,), {}))
+calls.append(lambda: DensityResult(Fraction(1, 2), 0, "t", (1,), {}))
+calls.append(lambda: EmpiricalReport(2, 10, 1.5, 1, 3))
+calls.append(lambda: EmpiricalReport(2, 0, 0, 0, 0))
+calls.append(lambda: fundamental_unit(5.0))
+calls.append(lambda: is_nth_power(fib, 2.0))
+calls.append(lambda: is_nth_power(fib, True))
+calls.append(lambda: is_nth_power(fib, 0))
+calls.append(lambda: sqrt_data(5))
+calls.append(lambda: quartic_conductor(5))
+calls.append(lambda: cubic_conductor(5))
 for call in calls:
     try:
         call()
@@ -113,7 +124,7 @@ def test_quad_elem_validation_survives_optimize_flag():
         "LucasDensityError power index needs a norm-1 element, got 2+0*sqrt(5) of norm 4",
         "LucasDensityError disc_k = 20 is not a fundamental discriminant (the field's is 5):"
         " build the element with gamma_from_radicand",
-        "LucasDensityError STerm.nu must be a positive int, got 0",
+        "LucasDensityError nu must be a positive integer, got 0",
         "LucasDensityError (-3-1*sqrt(5))/2 is not in normal form: pass normal_form(gamma),"
         " whose density can differ from the twisted element's",
         "LucasDensityError no twisted-root membership test for m=5",
@@ -139,6 +150,16 @@ def test_quad_elem_validation_survives_optimize_flag():
         "LucasDensityError QuadElem.u must be an int or a Fraction, got 'a'",
         "LucasDensityError DensityResult.delta_plus must be an int or a Fraction, got 0.25",
         "LucasDensityError DensityResult.trace does not reproduce delta=3/8",
+        "LucasDensityError DensityResult.trace must hold STerms, got 1",
+        "LucasDensityError EmpiricalReport.counted must be an integer, got 1.5",
+        "LucasDensityError EmpiricalReport.x must be a positive integer, got 0",
+        "LucasDensityError disc_k must be an integer, got 5.0",
+        "LucasDensityError n must be an integer, got 2.0",
+        "LucasDensityError n must be an integer, got True",
+        "LucasDensityError is_nth_power needs n >= 1, got 0",
+        "LucasDensityError sqrt_data needs a field element, got 5",
+        "LucasDensityError quartic_conductor needs a norm-1 root over disc -4 off Q, got 5",
+        "LucasDensityError cubic_conductor needs a norm-1 root over disc -3 off Q, got 5",
     ]
 
 
@@ -444,6 +465,16 @@ def test_torsion_matches_the_multiplication_loop():
 # ---------------------------------------------------------------------------
 
 
+# 2.0 and True are also in _OPTIMIZED_CHECK
+@pytest.mark.parametrize("n, message", [(2.0, r"n must be an integer, got 2\.0"),
+                                        (True, "n must be an integer, got True"),
+                                        ("2", "n must be an integer, got '2'"),
+                                        (0, "is_nth_power needs n >= 1, got 0")])
+def test_is_nth_power_refuses_an_exponent_that_is_not_a_positive_int(n, message):
+    with pytest.raises(LucasDensityError, match=f"^{message}$"):
+        is_nth_power(QuadElem(-4, F(-7, 25), F(12, 25)), n)
+
+
 def test_is_nth_power_pinned():
     x = QuadElem(-4, F(-7, 25), F(12, 25))  # (-7+24i)/25
     y = is_nth_power(x, 2)
@@ -579,6 +610,9 @@ def test_fundamental_unit_pinned():
     assert fundamental_unit(12) == QuadElem(12, F(2), F(1, 2))  # 2 + sqrt(3)
     for disc in (-4, 0, 7, 9, 16):  # imaginary, zero, not 0 or 1 mod 4, squares
         with pytest.raises(LucasDensityError):
+            fundamental_unit(disc)
+    for disc in (5.0, True, "5"):  # 5.0 is also in _OPTIMIZED_CHECK
+        with pytest.raises(LucasDensityError, match=f"^disc_k must be an integer, got {disc!r}$"):
             fundamental_unit(disc)
 
 
